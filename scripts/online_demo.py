@@ -2,9 +2,10 @@
 """Frame-by-frame streaming decode of a simulated utterance.
 
 Trains a small character LM on a toy corpus, simulates peaky emissions for a
-sentence, and streams them through the lag-buffered decoder, printing the
-evolving hypothesis with the LM's word completion in brackets.  Ends with the
-flushed transcript, the equivalent offline decode, and the display churn.
+sentence, and streams them through the online decoder, whose commits trail
+its lookahead by the lag, printing the evolving hypothesis with the LM's
+word completion in brackets.  Ends with the flushed transcript, the
+equivalent offline decode, and the display churn.
 """
 
 import argparse

@@ -1,7 +1,8 @@
 """Streaming CTC decoding toolkit.
 
-Prefix beam search with language-model shallow fusion, lag-buffered online
-decoding with lookahead hypotheses and word completions, length-normalized
+Prefix beam search with language-model shallow fusion, online decoding with
+one beam step per frame, lookahead hypotheses, commits that trail them by a
+fixed lag, and word completions, length-normalized
 seq2seq beam search, exact brute-force decoding oracles, edit-distance
 metrics, and a synthetic emission simulator.
 """

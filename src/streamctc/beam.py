@@ -17,7 +17,9 @@ log p / max(1, |prefix|)**beta, breaking ties lexicographically, and drops
 prefixes whose total probability is zero.
 
 ``beam_step`` is pure: the input beam is never modified, so independent
-decodes (and the streaming decoder's lookahead copies) can share beams.
+decodes can share beams, and the streaming decoder's beam after frame t is
+exactly the offline beam over the same rows.  It rejects rows that are not
+finite, in [0, 1] and summing to 1, whatever route they came by.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import NEG_INF, Alphabet, EmissionMatrix
+from .ctc import NEG_INF, Alphabet, EmissionMatrix, check_rows
 from .errors import ValidationError
 from .lm import CharLm, UniformLm
 
@@ -107,6 +109,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
         raise ValidationError(
             f"emission row has shape {row.shape}, expected ({alphabet.size},)"
         )
+    check_rows(row)
     with np.errstate(divide="ignore"):
         log_row = np.log(row)
     symbols = alphabet.symbols

@@ -82,9 +82,7 @@ def _stream_records(args, parser, stdin, stdout) -> int:
     alphabet, _ = parse_emissions_header(header)
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
-    # word completions come from the LM; without one there is nothing to say
-    decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm,
-                               completion_chars=16 if lm else 0)
+    decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm)
     skip = args.start_frame
     lineno = 1
     for raw in iter(stdin.readline, ""):

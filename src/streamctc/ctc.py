@@ -71,6 +71,23 @@ class Alphabet:
                 raise ValidationError(f"character {ch!r} is not in the alphabet")
 
 
+def check_rows(probs: np.ndarray, where: str = "emission row") -> None:
+    """Raise ValidationError unless every row of ``probs`` (a 1-D array is one
+    row) is finite, lies in [0, 1] and sums to 1 within ROW_SUM_TOL.
+
+    The comparisons are written so that NaN fails them.  ``probs`` must not be
+    empty.  Messages name the bad row as ``where``, plus its index for 2-D.
+    """
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        raise ValidationError(f"{where} entries must be finite and lie in [0, 1]")
+    sums = np.atleast_1d(probs.sum(axis=-1))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
+    if bad.size:
+        i = int(bad[0])
+        name = f"{where} {i}" if probs.ndim == 2 else where
+        raise ValidationError(f"{name} sums to {float(sums[i])!r}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class EmissionMatrix:
     """T x (|A|+1) row-stochastic matrix of per-frame posteriors."""
@@ -87,14 +104,7 @@ class EmissionMatrix:
                 f"emissions must have shape (T, {self.alphabet.size}), got {arr.shape}"
             )
         if arr.size:
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValidationError("emission entries must lie in [0, 1]")
-            sums = arr.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-            if bad.size:
-                raise ValidationError(
-                    f"emission row {bad[0]} sums to {sums[bad[0]]!r}, expected 1"
-                )
+            check_rows(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)

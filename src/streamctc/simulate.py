@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .ctc import ROW_SUM_TOL, Alphabet, EmissionMatrix
+from .ctc import Alphabet, EmissionMatrix, check_rows
 from .errors import ParseError, ValidationError
 
 CTCEM_MAGIC = "CTCEM v1"
@@ -141,11 +141,7 @@ def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.nd
         row = np.array([float(f) for f in fields])
     except ValueError as exc:
         raise ParseError(f"bad float: {exc}", line=lineno) from exc
-    if row.min() < 0.0 or row.max() > 1.0:
-        raise ValidationError(f"line {lineno}: row entries must lie in [0, 1]")
-    total = row.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ValidationError(f"line {lineno}: row sums to {total!r}, expected 1")
+    check_rows(row, f"line {lineno}: row")
     return row
 
 

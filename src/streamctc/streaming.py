@@ -1,13 +1,14 @@
-"""Lag-buffered streaming decoding with lookahead hypotheses, word
-completions, and receptive-field arithmetic.
+"""Online decoding with lookahead hypotheses, word completions, and
+receptive-field arithmetic.
 
-The decoder receives one emission row per input frame.  Rows sit in a lag
-buffer of up to ``lag`` frames; once the buffer overflows, each push commits
-the oldest row into the committed beam (which from then on never changes for
-that frame) and then replays the buffered rows on a copy of the committed
-beam to produce a lookahead hypothesis, as if the utterance ended now.
-Flushing commits the remaining buffer, so the final transcript is exactly
-the offline beam-search result.
+The decoder receives one emission row per input frame and advances its beam
+by exactly one beam step per row.  ``beam_step`` is pure, so the beam after
+frame t is the offline beam over every row seen so far; it supplies the
+lookahead hypothesis, as if the utterance ended now.  Commits trail the
+lookahead by ``lag`` frames: the committed beam is the one from frame
+t - lag, kept in a window of the last ``lag + 1`` beams, and never changes
+for that frame.  Flushing commits the latest beam, so the final transcript
+is exactly the offline beam-search result.
 """
 
 from __future__ import annotations
@@ -62,18 +63,21 @@ class IncrementalOutput:
     score: float
 
 
-def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = 16) -> str:
+def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = 16, state=None) -> str:
     """Greedy LM rollout finishing the current word of ``prefix``.
 
     Stops at a space (kept, terminal), end-of-sentence, or after
     ``max_chars`` characters; returns only the appended characters.  A prefix
     that is empty or already ends in a space has no word to complete.
+    ``state``, when given, is the LM state after ``prefix`` (a hypothesis's
+    ``lm_state``); it spares re-advancing the LM over the whole prefix.
     """
     if max_chars <= 0 or not prefix or prefix.endswith(" "):
         return ""
-    state = lm.initial_state()
-    for ch in prefix:
-        state = lm.advance(state, ch)
+    if state is None:
+        state = lm.initial_state()
+        for ch in prefix:
+            state = lm.advance(state, ch)
     eos_index = len(lm.symbols)
     out: list[str] = []
     while len(out) < max_chars:
@@ -92,7 +96,7 @@ class StreamingDecoder:
     """One decoding stream; feed rows with :meth:`push`, end with :meth:`flush`.
 
     A single immutable LM may be shared by many concurrent streams, but each
-    stream is single-threaded.
+    stream is single-threaded.  Without an LM there are no word completions.
     """
 
     def __init__(
@@ -109,56 +113,48 @@ class StreamingDecoder:
         self.config = config if config is not None else BeamConfig()
         self.lag = lag
         self.lm = lm if lm is not None else UniformLm(alphabet.symbols)
-        self.completion_chars = completion_chars
-        self._committed = beam_init(alphabet, self.config, self.lm)
-        self._pending: deque[np.ndarray] = deque()
+        # every symbol ties under the uniform LM, so it has nothing to say
+        self.completion_chars = completion_chars if lm is not None else 0
+        # beams after frames t - lag .. t: [0] is committed, [-1] the lookahead
+        self._beams: deque[Beam] = deque(
+            [beam_init(alphabet, self.config, self.lm)], maxlen=lag + 1
+        )
         self.frames_seen = 0
         self.beam_steps_last_push = 0
 
     @property
     def committed_beam(self) -> Beam:
-        return self._committed
+        return self._beams[0]
 
     def push(self, frame) -> IncrementalOutput:
-        """Ingest one emission row; returns the refreshed display state.
-
-        Work per push is bounded by 1 + lag beam steps regardless of how many
-        frames the stream has seen.
-        """
-        row = np.asarray(frame, dtype=np.float64)
+        """Ingest one emission row with one beam step; returns the refreshed
+        display state.  The committed prefix trails the hypothesis by ``lag``
+        frames."""
+        self._beams.append(beam_step(self._beams[-1], frame, self.config, self.lm))
         self.frames_seen += 1
-        self._pending.append(row)
-        steps = 0
-        if len(self._pending) > self.lag:
-            self._committed = beam_step(
-                self._committed, self._pending.popleft(), self.config, self.lm
-            )
-            steps += 1
-        lookahead = self._committed
-        for pending_row in self._pending:
-            lookahead = beam_step(lookahead, pending_row, self.config, self.lm)
-            steps += 1
-        self.beam_steps_last_push = steps
-        best = lookahead.best
+        self.beam_steps_last_push = 1
+        best = self._beams[-1].best
         hypothesis = best.prefix
         return IncrementalOutput(
             frame_index=self.frames_seen,
-            committed=self._committed.best.prefix,
+            committed=self._beams[0].best.prefix,
             hypothesis=hypothesis,
-            completion=lm_complete_word(hypothesis, self.lm, self.completion_chars),
+            completion=lm_complete_word(
+                hypothesis, self.lm, self.completion_chars, state=best.lm_state
+            ),
             score=normalized_score(best.log_prob, len(hypothesis), self.config.beta),
         )
 
     def flush(self) -> str:
-        """Commit all buffered rows; the result equals the offline decode."""
-        while self._pending:
-            self._committed = beam_step(
-                self._committed, self._pending.popleft(), self.config, self.lm
-            )
-        return self._committed.best.prefix
+        """Commit the latest beam without a beam step; the result equals the
+        offline decode."""
+        latest = self._beams[-1]
+        self._beams.clear()
+        self._beams.append(latest)
+        return latest.best.prefix
 
     def best_committed(self) -> tuple[str, float]:
-        best = self._committed.best
+        best = self._beams[0].best
         return best.prefix, normalized_score(
             best.log_prob, len(best.prefix), self.config.beta
         )

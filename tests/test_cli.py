@@ -131,6 +131,15 @@ class TestStream:
         assert code == 4
         assert "error" in json.loads(out.splitlines()[-1])
 
+    @pytest.mark.parametrize("bad", ["nan 0.5 0.5", "inf 0 0", "-0.5 0.5 1.0"])
+    def test_nonfinite_or_negative_row_is_validation_exit(self, capsys, monkeypatch, bad):
+        body = f"CTCEM v1 2 3 ab-\n0.2 0.3 0.5\n{bad}\n"
+        code, out, _ = run(capsys, ["stream", "--lag", "1", "--alpha", "0"],
+                           stdin_text=body, monkeypatch=monkeypatch)
+        assert code == 4
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 2 and "error" in records[-1]
+
     def test_missing_header(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["stream", "--alpha", "0"], stdin_text="",
                            monkeypatch=monkeypatch)

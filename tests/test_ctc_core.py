@@ -56,6 +56,15 @@ class TestEmissionMatrix:
         with pytest.raises(ValidationError):
             EmissionMatrix(Alphabet("a"), [[1.5, -0.5]])
 
+    @pytest.mark.parametrize("bad", [
+        [float("nan"), 0.5, 0.5],
+        [float("inf"), 0.0, 0.0],
+        [-0.5, 0.5, 1.0],
+    ])
+    def test_rejects_nonfinite_and_negative_rows(self, bad):
+        with pytest.raises(ValidationError):
+            EmissionMatrix(Alphabet("ab"), [[0.2, 0.3, 0.5], bad])
+
     def test_rejects_wrong_width(self):
         with pytest.raises(ValidationError):
             EmissionMatrix(Alphabet("ab"), [[0.5, 0.5]])

@@ -19,6 +19,7 @@ from streamctc import (
     save_emissions,
     simulate,
 )
+from streamctc.simulate import parse_emission_row
 
 
 def random_sentence(rng: random.Random, letters: str, n_words: int) -> str:
@@ -145,6 +146,13 @@ class TestEmissionFileFormat:
         text = "CTCEM v1 1 2 a-\n0.9 0.5\n"
         with pytest.raises(ValidationError):
             load_emissions(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", ["nan 0.5 0.5", "inf 0 0", "-0.5 0.5 1.0"])
+    def test_nonfinite_or_negative_row_is_validation_error(self, bad):
+        with pytest.raises(ValidationError):
+            parse_emission_row(bad, 3, 2)
+        with pytest.raises(ValidationError):
+            load_emissions(io.StringIO(f"CTCEM v1 1 3 ab-\n{bad}\n"))
 
     def test_malformed_float_names_line(self):
         text = "CTCEM v1 1 2 a-\n0.5 half\n"

@@ -1,4 +1,4 @@
-"""Streaming decoder: receptive fields, lag-buffered pushes, flush identity,
+"""Streaming decoder: receptive fields, lagged commits, flush identity,
 word completions, and display-churn measurement."""
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctc import streaming
 from streamctc import (
     Alphabet,
     BeamConfig,
@@ -14,6 +15,8 @@ from streamctc import (
     StreamingDecoder,
     ValidationError,
     beam_decode,
+    beam_init,
+    beam_step,
     changes_per_frame,
     lm_complete_word,
     receptive_field,
@@ -66,8 +69,6 @@ class TestStreamPush:
         em = random_emissions(rng, ab, 12)
         cfg = BeamConfig(width=4, alpha=0.0, beta=0.0)
         dec = StreamingDecoder(ab, cfg, lag=0)
-        from streamctc import beam_init, beam_step
-
         ref = beam_init(ab, cfg)
         for row in em.probs:
             out = dec.push(row)
@@ -102,13 +103,57 @@ class TestStreamPush:
         rng = np.random.default_rng(2)
         ab = Alphabet("ab")
         em = random_emissions(rng, ab, 30)
-        lag = 4
-        dec = StreamingDecoder(ab, BeamConfig(width=4), lag=lag)
-        for t, row in enumerate(em.probs, start=1):
+        dec = StreamingDecoder(ab, BeamConfig(width=4), lag=4)
+        for row in em.probs:
             dec.push(row)
-            commits = 1 if t > lag else 0
-            assert dec.beam_steps_last_push == commits + len(dec._pending)
-            assert dec.beam_steps_last_push <= 1 + lag
+            assert dec.beam_steps_last_push == 1
+
+    @pytest.mark.parametrize("lag", [0, 1, 5, 22])
+    def test_commits_trail_a_plain_beam_chain_by_lag(self, lag):
+        rng = np.random.default_rng(40 + lag)
+        ab = Alphabet("abc ")
+        em = random_emissions(rng, ab, 40)
+        lm = train_ngram(["ab ca", "cab a"], ab.symbols, order=2)
+        cfg = BeamConfig(width=5, alpha=0.5, beta=0.1)
+        dec = StreamingDecoder(ab, cfg, lag=lag, lm=lm)
+        chain = [beam_init(ab, cfg, lm)]
+        for t, row in enumerate(em.probs, start=1):
+            chain.append(beam_step(chain[-1], row, cfg, lm))
+            out = dec.push(row)
+            expected = chain[t - lag].best.prefix if t > lag else ""
+            assert out.committed == expected
+            assert out.hypothesis == chain[t].best.prefix
+            assert out.completion == lm_complete_word(out.hypothesis, lm)
+
+    def test_flush_makes_no_beam_steps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ab = Alphabet("ab")
+        em = random_emissions(rng, ab, 10)
+        cfg = BeamConfig(width=4, alpha=0.0, beta=0.0)
+        dec = StreamingDecoder(ab, cfg, lag=22)
+        for row in em.probs:
+            dec.push(row)
+        offline_text, _ = beam_decode(em, cfg)
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return beam_step(*args, **kwargs)
+
+        monkeypatch.setattr(streaming, "beam_step", counting_step)
+        assert dec.flush() == offline_text
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [
+        [float("nan"), 0.5, 0.5],
+        [float("inf"), 0.0, 0.0],
+        [-0.5, 0.5, 1.0],
+    ])
+    def test_rejects_nonfinite_and_negative_rows(self, bad):
+        dec = StreamingDecoder(Alphabet("ab"), BeamConfig(width=2), lag=1)
+        with pytest.raises(ValidationError):
+            dec.push(bad)
+        assert dec.frames_seen == 0
 
     def test_committed_prefix_is_stable(self):
         rng = np.random.default_rng(31)
@@ -187,6 +232,22 @@ class TestWordCompletion:
     def test_budget_caps_length(self):
         out = lm_complete_word("th", self._lm(), max_chars=1)
         assert out == "e"
+
+    def test_lm_state_gives_the_same_completion(self):
+        lm = train_ngram(["the cat sat", "a hat"], "acehst ", order=3)
+        for prefix in ["t", "th", "the c", "a h", "s"]:
+            state = lm.initial_state()
+            for ch in prefix:
+                state = lm.advance(state, ch)
+            assert lm_complete_word(prefix, lm, state=state) == lm_complete_word(prefix, lm)
+
+    def test_no_lm_means_no_completion(self):
+        ab = Alphabet("ab ")
+        em = one_hot_emissions(ab, "a-b")
+        dec = StreamingDecoder(ab, BeamConfig(width=4, alpha=0.0, beta=0.0), lag=1)
+        outs = [dec.push(row) for row in em.probs]
+        assert outs[-1].hypothesis == "ab"
+        assert [o.completion for o in outs] == ["", "", ""]
 
     def test_no_internal_spaces(self):
         lm = train_ngram(["the cat sat", "a hat"], "acehst ", order=3)
