@@ -16,6 +16,15 @@ Pruning keeps the W prefixes with the highest length-normalized score
 log p / max(1, |prefix|)**beta, breaking ties lexicographically, and drops
 prefixes whose total probability is zero.
 
+A step makes one Python pass over the W hypotheses for their stay buckets,
+their extension bases and their LM rows; numpy then scores all W x |A|
+extensions at once.  The few extensions that equal a prefix already in the
+beam (s + c where s + c is itself a hypothesis) are merged into that
+hypothesis and masked out.  ``np.partition`` finds the W-th best score; only
+the candidates at or above it, ties included, get a prefix string, and they
+are sorted by (-score, prefix), so ties at the cut fall lexicographically.
+Only the W survivors advance the LM.
+
 ``beam_step`` is pure: the input beam is never modified, so independent
 decodes can share beams, and the streaming decoder's beam after frame t is
 exactly the offline beam over the same rows.  It rejects rows that are not
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -82,7 +92,8 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class Beam:
-    """Hypotheses for one frame, sorted by pruning score descending."""
+    """Hypotheses for one frame, with distinct prefixes, sorted by pruning
+    score descending."""
 
     alphabet: Alphabet
     hypotheses: tuple[Hypothesis, ...]
@@ -114,72 +125,103 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
         log_row = np.log(row)
     symbols = alphabet.symbols
     lm_index = [lm.index_of(c) for c in symbols]
-    alpha = config.alpha
+    alpha, beta = config.alpha, config.beta
     blank_lp = float(log_row[alphabet.blank_index])
-    char_lp = log_row[: len(symbols)].tolist()
+    char_lp = log_row[: len(symbols)]
+    char_lp_list = char_lp.tolist()
     sym_index = alphabet._index
+    hyps = beam.hypotheses
+    n, m = len(hyps), len(symbols)
 
-    # prefix -> [log_pb, log_pnb, lm_state, lm_logprob]
-    acc: dict[str, list] = {}
-    for hyp in beam.hypotheses:
+    # One pass over the hypotheses: the stay buckets (blank, and the final
+    # character repeated), each extension's base and each LM row.
+    stay_pb, stay_pnb, totals, lm_rows, denoms = [], [], [], [], []
+    last_rows, last_cols, last_pb = [], [], []
+    merges = []  # (stay row, parent row, column): an extension that is a stay
+    row_of = {hyp.prefix: i for i, hyp in enumerate(hyps)}
+    for i, hyp in enumerate(hyps):
         s = hyp.prefix
         pb, pnb = hyp.log_pb, hyp.log_pnb
         total = log_add(pb, pnb)
-        ent = acc.get(s)
-        if ent is None:
-            ent = acc[s] = [NEG_INF, NEG_INF, hyp.lm_state, hyp.lm_logprob]
-        ent[0] = log_add(ent[0], blank_lp + total)
-        last = s[-1] if s else None
-        if last is not None and pnb != NEG_INF:
-            ent[1] = log_add(ent[1], char_lp[sym_index[last]] + pnb)
-        lm_vec = lm.next_log_probs(hyp.lm_state).tolist()
-        state = hyp.lm_state
-        lm_lp_base = hyp.lm_logprob
-        for i, c in enumerate(symbols):
-            base = pb if c == last else total
-            if base == NEG_INF:
-                continue
-            p_c = char_lp[i] + base
-            if p_c == NEG_INF:
-                continue
-            lm_lp = lm_vec[lm_index[i]]
-            if alpha:
-                p_c += alpha * lm_lp
-            sp = s + c
-            ent2 = acc.get(sp)
-            if ent2 is None:
-                acc[sp] = [NEG_INF, p_c, lm.advance(state, c), lm_lp_base + lm_lp]
-            else:
-                ent2[1] = log_add(ent2[1], p_c)
+        totals.append(total)
+        stay_pb.append(blank_lp + total)
+        rep = NEG_INF
+        if s:
+            j = sym_index[s[-1]]
+            last_rows.append(i)
+            last_cols.append(j)
+            last_pb.append(pb)
+            if pnb != NEG_INF:
+                rep = char_lp_list[j] + pnb
+            parent = row_of.get(s[:-1])
+            if parent is not None:
+                merges.append((i, parent, j))
+        stay_pnb.append(rep)
+        lm_rows.append(lm.next_log_probs(hyp.lm_state))
+        denoms.append((len(s) + 1) ** beta)
 
-    beta = config.beta
-    scored = []
-    for sp, (lpb, lpnb, st, lmlp) in acc.items():
-        lp = log_add(lpb, lpnb)
-        if lp == NEG_INF:
-            continue
-        score = lp if beta == 0.0 else lp / max(1, len(sp)) ** beta
-        scored.append((-score, sp, lpb, lpnb, st, lmlp))
-    if not scored:
+    # p(s + c) = (p_char(c) + base) + alpha * log p_LM(c | s), where the base
+    # is the total mass, or only the blank bucket when c repeats the last.
+    base = np.repeat(np.array(totals)[:, None], m, axis=1)
+    base[last_rows, last_cols] = last_pb
+    ext = char_lp + base
+    lm_lp = np.array(lm_rows)[:, lm_index]
+    if alpha:
+        ext += alpha * lm_lp
+    for i, parent, j in merges:
+        stay_pnb[i] = log_add(stay_pnb[i], float(ext[parent, j]))
+        ext[parent, j] = NEG_INF
+
+    stay_scores = [normalized_score(log_add(pb, pnb), len(hyp.prefix), beta)
+                   for hyp, pb, pnb in zip(hyps, stay_pb, stay_pnb)]
+    ext_scores = ext if beta == 0.0 else ext / np.array(denoms)[:, None]
+    scores = np.concatenate((stay_scores, ext_scores.ravel()))
+
+    # Everything scoring at least the W-th best is a candidate, ties included;
+    # only candidates get a prefix string, and only survivors an LM state.
+    width = config.width
+    kth = np.partition(scores, -width)[-width] if scores.size > width else NEG_INF
+    cand = np.flatnonzero(scores >= kth if kth > NEG_INF else scores > NEG_INF)
+    if not cand.size:
         raise ValidationError("beam collapsed: the emission row assigns no mass "
                               "to any reachable prefix")
-    scored.sort(key=lambda e: (e[0], e[1]))
-    hyps = tuple(
-        Hypothesis(sp, lpb, lpnb, st, lmlp)
-        for _, sp, lpb, lpnb, st, lmlp in scored[: config.width]
-    )
-    return Beam(alphabet, hyps, beam.frame_index + 1)
+    ranked = []
+    for k, score in zip(cand.tolist(), scores[cand].tolist()):
+        prefix = hyps[k].prefix if k < n else hyps[(k - n) // m].prefix + symbols[(k - n) % m]
+        ranked.append((-score, prefix, k))
+    ranked.sort()
+    out = []
+    for _, prefix, k in ranked[:width]:
+        if k < n:
+            hyp = hyps[k]
+            out.append(Hypothesis(prefix, stay_pb[k], stay_pnb[k], hyp.lm_state, hyp.lm_logprob))
+        else:
+            i, j = divmod(k - n, m)
+            hyp = hyps[i]
+            out.append(Hypothesis(prefix, NEG_INF, float(ext[i, j]),
+                                  lm.advance(hyp.lm_state, symbols[j]),
+                                  hyp.lm_logprob + float(lm_lp[i, j])))
+    return Beam(alphabet, tuple(out), beam.frame_index + 1)
+
+
+def beam_decode_rows(
+    alphabet: Alphabet, rows: Iterable, config: BeamConfig | None = None,
+    lm: CharLm | None = None,
+) -> tuple[str, float]:
+    """Run the full beam search over ``rows``, taken one at a time, and return
+    the best transcript and its length-normalized log score.  No rows decode
+    to ("", 0.0)."""
+    config = config if config is not None else BeamConfig()
+    lm = lm if lm is not None else UniformLm(alphabet.symbols)
+    beam = beam_init(alphabet, config, lm)
+    for row in rows:
+        beam = beam_step(beam, row, config, lm)
+    best = beam.best
+    return best.prefix, normalized_score(best.log_prob, len(best.prefix), config.beta)
 
 
 def beam_decode(
     em: EmissionMatrix, config: BeamConfig | None = None, lm: CharLm | None = None
 ) -> tuple[str, float]:
-    """Run the full beam search and return the best transcript and its
-    length-normalized log score.  An empty matrix decodes to ("", 0.0)."""
-    config = config if config is not None else BeamConfig()
-    lm = lm if lm is not None else UniformLm(em.alphabet.symbols)
-    beam = beam_init(em.alphabet, config, lm)
-    for row in em.probs:
-        beam = beam_step(beam, row, config, lm)
-    best = beam.best
-    return best.prefix, normalized_score(best.log_prob, len(best.prefix), config.beta)
+    """:func:`beam_decode_rows` over the rows of ``em``."""
+    return beam_decode_rows(em.alphabet, em.probs, config, lm)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .beam import BeamConfig, beam_decode
+from .beam import BeamConfig, beam_decode_rows
 from .ctc import Alphabet, enumerate_transcript_probabilities, greedy_decode
 from .errors import CapacityError, ParseError, ValidationError
 from .lm import load_ngram, save_ngram, train_ngram
@@ -22,6 +22,7 @@ from .metrics import _words, confusion_matrix, edit_distance
 from .s2s import S2SConfig, load_table_scorer, s2s_decode
 from .simulate import (
     SimConfig,
+    emission_rows,
     load_emissions,
     parse_emission_row,
     parse_emissions_header,
@@ -63,14 +64,16 @@ def _load_lm(args, parser: argparse.ArgumentParser):
 
 
 def _cmd_decode(args, parser) -> int:
-    em = load_emissions(args.emissions)
-    log.info("decoding %d frames over %d symbols", em.num_frames, em.alphabet.size)
     if args.greedy:
-        print(greedy_decode(em))
+        print(greedy_decode(load_emissions(args.emissions)))
         return EXIT_OK
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
-    text, score = beam_decode(em, config, lm)
+    # one row at a time, so memory is bounded by W, not by the file length
+    with open(args.emissions, "r", encoding="utf-8", newline="") as fh:
+        alphabet, frames, rows = emission_rows(fh)
+        log.info("decoding %d frames over %d symbols", frames, alphabet.size)
+        text, score = beam_decode_rows(alphabet, rows, config, lm)
     print(f"{text}\t{score:.6f}")
     return EXIT_OK
 
@@ -120,10 +123,7 @@ def _stream_records(args, parser, stdin, stdout) -> int:
 def _cmd_stream(args, parser) -> int:
     try:
         return _stream_records(args, parser, sys.stdin, sys.stdout)
-    except ParseError as exc:
-        print(json.dumps({"error": str(exc)}), flush=True)
-        raise
-    except (ValidationError, CapacityError) as exc:
+    except (ParseError, ValidationError, CapacityError) as exc:
         print(json.dumps({"error": str(exc)}), flush=True)
         raise
 

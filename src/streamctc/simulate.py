@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -145,24 +145,38 @@ def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.nd
     return row
 
 
-def load_emissions(source) -> EmissionMatrix:
-    own = not hasattr(source, "read")
-    fh: IO[str] = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty emission file", line=1)
-        alphabet, frames = parse_emissions_header(header)
-        rows = []
+def emission_rows(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
+    """Parse the header of an open CTCEM stream and return its alphabet, its
+    declared frame count and an iterator that parses the rows one at a time.
+    Once the rows run out, the iterator raises ParseError unless it yielded
+    as many as the header declares."""
+    header = fh.readline()
+    if not header:
+        raise ParseError("empty emission file", line=1)
+    alphabet, frames = parse_emissions_header(header)
+
+    def rows() -> Iterator[np.ndarray]:
+        count = 0
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.rstrip("\n")
             if not raw:
                 continue
-            rows.append(parse_emission_row(raw, alphabet.size, lineno))
-        if len(rows) != frames:
+            yield parse_emission_row(raw, alphabet.size, lineno)
+            count += 1
+        if count != frames:
             raise ParseError(
-                f"header declares {frames} frames but the file holds {len(rows)} rows"
+                f"header declares {frames} frames but the file holds {count} rows"
             )
+
+    return alphabet, frames, rows()
+
+
+def load_emissions(source) -> EmissionMatrix:
+    own = not hasattr(source, "read")
+    fh: IO[str] = open(source, "r", encoding="utf-8", newline="") if own else source
+    try:
+        alphabet, _, rows = emission_rows(fh)
+        rows = list(rows)
         data = np.array(rows) if rows else np.zeros((0, alphabet.size))
         return EmissionMatrix(alphabet, data)
     finally:

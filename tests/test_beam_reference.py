@@ -1,0 +1,149 @@
+"""The numpy beam step against the loop reference in reference_beam.py: every
+beam (prefixes, both buckets, LM state and LM log-probability, order) must be
+the same bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamctc import (
+    Alphabet,
+    BeamConfig,
+    CharLm,
+    SimConfig,
+    ValidationError,
+    beam_init,
+    beam_step,
+    normalized_score,
+    simulate,
+    train_ngram,
+)
+from streamctc.cli import DEFAULT_ALPHABET
+
+from reference_beam import reference_beam_step
+
+SMALL = Alphabet("abc ")
+SMALL_LM = train_ngram(["ab ba", "abc cab", "a b c", "aa bb cc"], SMALL.symbols, order=3)
+WIDE = Alphabet(DEFAULT_ALPHABET)
+WIDE_LM = train_ngram(["the cat sat on the mat", "a dog ate the hat"], WIDE.symbols, order=3)
+
+
+class NoCLm(CharLm):
+    """Gives 'c' zero probability (log -inf) and spreads the rest evenly."""
+
+    def initial_state(self):
+        return ""
+
+    def next_log_probs(self, state):
+        vec = np.full(self.vocab_size, -np.log(self.vocab_size - 1))
+        vec[self.index_of("c")] = -np.inf
+        return vec
+
+    def advance(self, state, ch):
+        return state + ch
+
+
+def snapshot(beam):
+    """Everything a beam holds, with floats as hex so that -0.0 != 0.0."""
+    return beam.frame_index, [
+        (h.prefix, h.log_pb.hex(), h.log_pnb.hex(), h.lm_state, h.lm_logprob.hex())
+        for h in beam.hypotheses
+    ]
+
+
+def run_both(alphabet, rows, config, lm):
+    """Step both implementations from the same beam on every row and compare;
+    returns the beams before each step.  A collapse must happen in both."""
+    beam = beam_init(alphabet, config, lm)
+    seen = []
+    for row in rows:
+        seen.append(beam)
+        try:
+            want = reference_beam_step(beam, row, config, lm)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match="collapsed"):
+                beam_step(beam, row, config, lm)
+            assert "collapsed" in str(exc)
+            break
+        got = beam_step(beam, row, config, lm)
+        assert snapshot(got) == snapshot(want)
+        beam = got
+    return seen
+
+
+def make_row(kind: str, seed: int, size: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    row = np.zeros(size)
+    if kind == "uniform":
+        row[:] = 1.0 / size
+    elif kind == "one-hot":
+        row[rng.integers(size)] = 1.0
+    elif kind == "two-hot":
+        i, j = rng.choice(size, 2, replace=False)
+        row[i] = p = float(rng.choice([0.5, 0.25, rng.random()]))
+        row[j] = 1.0 - p
+    else:  # Dirichlet over a random subset, zeros elsewhere
+        support = rng.random(size) < 0.6
+        support[rng.integers(size)] = True
+        row[support] = rng.dirichlet(np.ones(int(support.sum())))
+    return row
+
+
+rows_strategy = st.lists(
+    st.tuples(st.sampled_from(["uniform", "one-hot", "two-hot", "zeros"]),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=10,
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(rows_strategy,
+           st.sampled_from([1, 2, 8, 100]),
+           st.sampled_from([0.0, 0.5]),
+           st.sampled_from([0.0, 0.1]),
+           st.booleans())
+    def test_fuzzed_rows(self, kinds, width, alpha, beta, with_lm):
+        rows = [make_row(kind, seed, SMALL.size) for kind, seed in kinds]
+        config = BeamConfig(width=width, alpha=alpha, beta=beta)
+        run_both(SMALL, rows, config, SMALL_LM if with_lm else None)
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 100])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.1)])
+    def test_uniform_rows_tie_at_the_cut(self, width, alpha, beta):
+        config = BeamConfig(width=width, alpha=alpha, beta=beta)
+        # the first row puts no mass on the blank, so every extension ties
+        no_blank = np.append(np.full(SMALL.size - 1, 1.0 / (SMALL.size - 1)), 0.0)
+        rows = [no_blank] + [np.full(SMALL.size, 1.0 / SMALL.size)] * 5
+        seen = run_both(SMALL, rows, config, None)
+        # the candidates of some step tie across the W-th place
+        straddles = 0
+        for beam, row in zip(seen, rows):
+            full = reference_beam_step(beam, row, BeamConfig(10**6, alpha, beta))
+            ranked = [normalized_score(h.log_prob, len(h.prefix), beta)
+                      for h in full.hypotheses]
+            if len(ranked) > width and ranked[width - 1] == ranked[width]:
+                straddles += 1
+        assert straddles
+
+    @pytest.mark.parametrize("width", [2, 8, 100])
+    def test_extension_equal_to_existing_prefix(self, width):
+        config = BeamConfig(width=width, alpha=0.5, beta=0.1)
+        rows = [make_row("zeros", seed, SMALL.size) for seed in range(12)]
+        seen = run_both(SMALL, rows, config, SMALL_LM)
+        prefixes = [{h.prefix for h in beam.hypotheses} for beam in seen]
+        assert any(p and p[:-1] in ps for ps in prefixes for p in ps)
+
+    @pytest.mark.parametrize("with_lm", [False, True])
+    def test_simulated_utterance_at_cli_defaults(self, with_lm):
+        em = simulate("the cat ate", WIDE, SimConfig(peak_prob=0.5, noise_seed=7))
+        config = BeamConfig(width=100, alpha=0.5 if with_lm else 0.0, beta=0.1)
+        seen = run_both(WIDE, em.probs, config, WIDE_LM if with_lm else None)
+        assert len(seen) == em.num_frames
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_lm_with_zero_probability_character(self, alpha):
+        config = BeamConfig(width=8, alpha=alpha, beta=0.1)
+        rows = [make_row("zeros", seed, SMALL.size) for seed in range(8)]
+        run_both(SMALL, rows, config, NoCLm(SMALL.symbols))

@@ -3,13 +3,17 @@
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from streamctc import cli
 from streamctc import (
     Alphabet,
+    EmissionMatrix,
+    ParseError,
     SimConfig,
+    ValidationError,
     load_emissions,
     save_emissions,
     simulate,
@@ -68,6 +72,60 @@ class TestDecode:
         code, _, err = run(capsys, ["decode", "no-such-file.em", "--alpha", "0"])
         assert code == 4
         assert "no-such-file" in err
+
+
+    def test_memory_bounded_by_width(self, capsys, tmp_path):
+        """Rows are parsed and decoded one at a time, so ten times the frames
+        must not take ten times the memory."""
+        ab = Alphabet(cli.DEFAULT_ALPHABET)
+        em = simulate("the cat sat on the mat " * 60, ab, SimConfig(noise_seed=1))
+        paths = {}
+        for frames in (400, 4000):
+            paths[frames] = tmp_path / f"u{frames}.em"
+            save_emissions(EmissionMatrix(ab, em.probs[:frames]), paths[frames])
+        argv = ["--alpha", "0", "--beam-width", "8"]
+        run(capsys, ["decode", str(paths[400]), *argv])  # warm up caches
+        peaks = {}
+        for frames, path in paths.items():
+            tracemalloc.start()
+            try:
+                assert cli.main(["decode", str(path), *argv]) == 0
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[4000] <= 1.5 * peaks[400], peaks
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_mismatch_is_parse_exit(self, capsys, tmp_path, rows):
+        path = tmp_path / "short.em"
+        path.write_text("CTCEM v1 2 3 ab-\n" + "0.2 0.3 0.5\n" * rows, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_emissions(path)
+        assert str(exc.value) == f"header declares 2 frames but the file holds {rows} rows"
+        code, out, err = run(capsys, ["decode", str(path), "--alpha", "0"])
+        assert (code, out) == (3, "")
+        assert err == f"streamctc: parse error: {exc.value}\n"
+
+    @pytest.mark.parametrize("bad,code", [
+        ("nan 0.5 0.5", 4), ("0.2 0.3 0.6", 4), ("0.2 x 0.8", 3), ("0.5 0.5", 3),
+    ])
+    def test_bad_row_names_its_line(self, capsys, tmp_path, bad, code):
+        path = tmp_path / "bad.em"
+        path.write_text(f"CTCEM v1 3 3 ab-\n0.2 0.3 0.5\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises((ParseError, ValidationError)) as exc:
+            load_emissions(path)
+        assert str(exc.value).startswith("line 4: ")
+        prefix = "parse error: " if code == 3 else ""
+        got, out, err = run(capsys, ["decode", str(path), "--alpha", "0"])
+        assert (got, out) == (code, "")
+        assert err == f"streamctc: {prefix}{exc.value}\n"
+
+    def test_missing_lm_is_usage_error_before_reading(self, capsys):
+        # the LM is checked before the file is opened
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "no-such-file.em"])
+        assert exc.value.code == 2
 
 
 class TestStream:
