@@ -219,8 +219,8 @@ def _cmd_rf(args, parser) -> int:
 
 
 def _cmd_s2s_decode(args, parser) -> int:
-    scorer = load_table_scorer(args.scorer)
     lm = _load_lm(args, parser)
+    scorer = load_table_scorer(args.scorer)
     config = S2SConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta,
                        max_length=args.max_length)
     text, score = s2s_decode(scorer, config, lm)

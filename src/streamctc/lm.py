@@ -37,9 +37,9 @@ class CharLm:
     def __init__(self, symbols: str):
         symbols = "".join(symbols)
         if not symbols:
-            raise ValidationError("language model needs at least one character")
+            raise ValidationError("alphabet needs at least one character")
         if len(set(symbols)) != len(symbols):
-            raise ValidationError("language model characters must be distinct")
+            raise ValidationError("alphabet characters must be distinct")
         self.symbols = symbols
         self._index = {c: i for i, c in enumerate(symbols)}
 
@@ -53,7 +53,7 @@ class CharLm:
             return len(self.symbols)
         idx = self._index.get(ch)
         if idx is None:
-            raise ValidationError(f"character {ch!r} is not in the LM alphabet")
+            raise ValidationError(f"character {ch!r} is not in the alphabet")
         return idx
 
     def initial_state(self):

@@ -8,6 +8,25 @@ written.  The length penalty is used both for intermediate pruning and for
 the final ranking.  Both probabilities include the end-of-sentence term, so
 fused scores are comparable across lengths; hypotheses still unfinished at
 ``max_length`` are force-finalized the same way.
+
+A step makes one Python pass over the at most W active hypotheses, which
+all have the same length L, for their scorer and LM rows.  Each active
+becomes a final through its end-of-sentence term, scored one at a time;
+numpy scores all W x |A| extensions at once, divided by the one scalar
+LP(L + 1).  ``np.partition`` finds the W-th best score among the kept
+finals and the extensions; only the extensions at or above it, ties
+included, get a prefix string, and they are sorted with the finals by
+(-score, prefix, kind).  Only the surviving extensions advance the scorer
+and the LM.
+
+The search stops early, with the same result, once the best kept final
+scores strictly above (log p(y|x) + alpha * log p_LM(y)) / LP(max_length)
+for every active y.  Every log-probability is <= 0, so extending y or
+ending it never raises that numerator (rounding is monotone, so this holds
+in floating point too), and LP does not decrease with length, so no
+descendant of an active can reach the best final: it stays ranked first to
+the end.  Rows holding NaN or an entry above 0 are rejected, since the
+stop rests on them.
 """
 
 from __future__ import annotations
@@ -18,7 +37,7 @@ from typing import IO
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .lm import EOS, CharLm, UniformLm
+from .lm import CharLm, UniformLm
 
 S2SM_MAGIC = "S2SM v1"
 DIST_SUM_TOL = 1e-9
@@ -47,7 +66,7 @@ def length_penalty(length: int, beta: float) -> float:
     return ((5.0 + length) / 6.0) ** beta
 
 
-class TableScorer:
+class TableScorer(CharLm):
     """Autoregressive mock scorer backed by a prefix -> distribution table.
 
     Prefixes not in the table fall back to a uniform distribution over the
@@ -57,12 +76,8 @@ class TableScorer:
     """
 
     def __init__(self, symbols: str, table: dict[str, dict[str, float]]):
-        symbols = "".join(symbols)
-        if not symbols or len(set(symbols)) != len(symbols):
-            raise ValidationError("scorer characters must be distinct and non-empty")
-        self.symbols = symbols
-        self._index = {c: i for i, c in enumerate(symbols)}
-        self._uniform = np.full(len(symbols) + 1, -np.log(len(symbols) + 1))
+        super().__init__(symbols)
+        self._uniform = np.full(self.vocab_size, -np.log(self.vocab_size))
         self._uniform.flags.writeable = False
         self._rows: dict[str, np.ndarray] = {}
         for prefix, dist in table.items():
@@ -71,7 +86,7 @@ class TableScorer:
                     raise ValidationError(
                         f"table prefix {prefix!r} uses characters outside the alphabet"
                     )
-            probs = np.zeros(len(symbols) + 1)
+            probs = np.zeros(self.vocab_size)
             for ch, p in dist.items():
                 if not 0.0 <= p <= 1.0:
                     raise ValidationError(f"probability {p!r} out of range")
@@ -86,14 +101,6 @@ class TableScorer:
             self._rows[prefix] = row
         # kept for serialization round-trips
         self._table = {p: dict(d) for p, d in table.items()}
-
-    def index_of(self, ch: str) -> int:
-        if ch == EOS:
-            return len(self.symbols)
-        idx = self._index.get(ch)
-        if idx is None:
-            raise ValidationError(f"character {ch!r} is not in the scorer alphabet")
-        return idx
 
     def initial_state(self) -> str:
         return ""
@@ -165,6 +172,12 @@ def load_table_scorer(source) -> TableScorer:
             fh.close()
 
 
+def _check_log_rows(rows: np.ndarray, source: str) -> None:
+    # one max, which NaN fails: the early stop needs every entry <= 0
+    if not rows.max() <= 0.0:
+        raise ValidationError(f"{source} row holds NaN or a log-probability above 0")
+
+
 def s2s_decode(
     scorer, config: S2SConfig | None = None, lm: CharLm | None = None
 ) -> tuple[str, float]:
@@ -174,54 +187,75 @@ def s2s_decode(
     lm = lm if lm is not None else UniformLm(scorer.symbols)
     if set(lm.symbols) != set(scorer.symbols):
         raise ValidationError("scorer and LM must share a visible alphabet")
-    lm_index = [lm.index_of(c) for c in scorer.symbols]
-    alpha, beta = config.alpha, config.beta
-    eos_sc = len(scorer.symbols)
-    eos_lm = len(lm.symbols)
+    symbols = scorer.symbols
+    m = len(symbols)
+    # LM columns in scorer order, end of sentence last, as in a scorer row
+    lm_index = [lm.index_of(c) for c in symbols] + [len(lm.symbols)]
+    alpha, beta, width = config.alpha, config.beta, config.width
+    ceiling = length_penalty(config.max_length, beta)
 
     def fused(lp_sc: float, lp_lm: float, length: int) -> float:
         total = lp_sc + (alpha * lp_lm if alpha else 0.0)
         return total / length_penalty(length, beta)
 
-    # entries: (prefix, scorer state, lm state, log p(y|x), log p_LM(y))
+    # actives: (prefix, scorer state, lm state, log p(y|x), log p_LM(y)), all
+    # of one length; finals: (-fused score, prefix), best first after a step
     actives = [("", scorer.initial_state(), lm.initial_state(), 0.0, 0.0)]
-    finals: list[tuple[str, float, float]] = []
+    finals: list[tuple[float, str]] = []
 
-    for _ in range(config.max_length):
-        if not actives:
-            break
-        pool: list[tuple[float, str, int, tuple]] = []
-        for prefix, f_sc, f_lm in finals:
-            pool.append((-fused(f_sc, f_lm, len(prefix)), prefix, 0, (prefix, f_sc, f_lm)))
-        for prefix, ss, ls, lp_sc, lp_lm in actives:
-            sc_vec = scorer.next_log_probs(ss)
-            lm_vec = lm.next_log_probs(ls)
-            f_sc = lp_sc + float(sc_vec[eos_sc])
-            f_lm = lp_lm + float(lm_vec[eos_lm])
-            pool.append((-fused(f_sc, f_lm, len(prefix)), prefix, 0, (prefix, f_sc, f_lm)))
-            for i, c in enumerate(scorer.symbols):
-                n_sc = lp_sc + float(sc_vec[i])
-                n_lm = lp_lm + float(lm_vec[lm_index[i]])
-                ext = (prefix + c, scorer.advance(ss, c), lm.advance(ls, c), n_sc, n_lm)
-                pool.append((-fused(n_sc, n_lm, len(prefix) + 1), prefix + c, 1, ext))
-        pool.sort(key=lambda e: (e[0], e[1], e[2]))
-        finals = []
-        actives = []
-        for _, _, kind, payload in pool[: config.width]:
-            if kind == 0:
-                finals.append(payload)
+    for length in range(config.max_length + 1):
+        sc_rows, lm_rows, base_sc, base_lm = [], [], [], []
+        for _, ss, ls, lp_sc, lp_lm in actives:
+            sc_rows.append(scorer.next_log_probs(ss))
+            lm_rows.append(lm.next_log_probs(ls))
+            base_sc.append(lp_sc)
+            base_lm.append(lp_lm)
+        sc_rows = np.array(sc_rows)
+        lm_rows = np.array(lm_rows)[:, lm_index]
+        _check_log_rows(sc_rows, "scorer")
+        _check_log_rows(lm_rows, "LM")
+        sc = np.array(base_sc)[:, None] + sc_rows
+        lm_lp = np.array(base_lm)[:, None] + lm_rows
+        # each active also ends here, with its end-of-sentence terms
+        finals += [(-fused(float(sc[i, m]), float(lm_lp[i, m]), length), active[0])
+                   for i, active in enumerate(actives)]
+        if length == config.max_length:
+            break  # the length cap: everything still active is now final
+
+        total = sc + alpha * lm_lp if alpha else sc
+        ext = total[:, :m] / length_penalty(length + 1, beta)
+        nf = len(finals)
+        scores = np.concatenate(([-neg for neg, _ in finals], ext.ravel()))
+        # Everything scoring at least the W-th best is a candidate, ties
+        # included; only candidates get a prefix string.  Finals come first
+        # in k, so (-score, prefix, k) sorts as (-score, prefix, kind).
+        kth = np.partition(scores, -width)[-width] if scores.size > width else -np.inf
+        cand = np.flatnonzero(scores >= kth)
+        ranked = []
+        for k, score in zip(cand.tolist(), scores[cand].tolist()):
+            if k < nf:
+                prefix = finals[k][1]
             else:
-                actives.append(payload)
+                i, j = divmod(k - nf, m)
+                prefix = actives[i][0] + symbols[j]
+            ranked.append((-score, prefix, k))
+        ranked.sort()
 
-    # Anything still active at the length cap finalizes with its EOS terms.
-    for prefix, ss, ls, lp_sc, lp_lm in actives:
-        f_sc = lp_sc + float(scorer.next_log_probs(ss)[eos_sc])
-        f_lm = lp_lm + float(lm.next_log_probs(ls)[eos_lm])
-        finals.append((prefix, f_sc, f_lm))
+        kept, survivors, bound = [], [], -np.inf
+        for neg, prefix, k in ranked[:width]:
+            if k < nf:
+                kept.append((neg, prefix))
+            else:
+                i, j = divmod(k - nf, m)
+                _, ss, ls, _, _ = actives[i]
+                c = symbols[j]
+                survivors.append((prefix, scorer.advance(ss, c), lm.advance(ls, c),
+                                  float(sc[i, j]), float(lm_lp[i, j])))
+                bound = max(bound, float(total[i, j]))
+        finals, actives = kept, survivors
+        # No descendant of an active scores above bound / LP(max_length).
+        if not actives or (finals and -finals[0][0] > bound / ceiling):
+            break
 
-    ranked = sorted(
-        ((-fused(f_sc, f_lm, len(prefix)), prefix) for prefix, f_sc, f_lm in finals),
-        key=lambda e: (e[0], e[1]),
-    )
-    neg_score, prefix = ranked[0]
+    neg_score, prefix = min(finals)
     return prefix, -neg_score

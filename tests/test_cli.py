@@ -307,6 +307,13 @@ class TestS2SDecode:
         assert out.split("\t")[0] == "hi"
 
 
+    def test_missing_lm_is_usage_error_before_reading(self, capsys):
+        # the LM is checked before the scorer file is opened, as in decode
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["s2s-decode", "no-such-file.s2sm"])
+        assert exc.value.code == 2
+
+
 class TestPipeComposition:
     def test_simulate_stream_decode_agree(self, capsys, monkeypatch, tmp_path):
         rng = random.Random(77)

@@ -185,6 +185,32 @@ class TestS2SDecode:
         assert s2s_decode(scorer, cfg, lm) == s2s_decode(scorer, cfg, lm)
 
 
+class BadRowScorer(TableScorer):
+    """Uniform scorer whose row after "a" is replaced by ``row``."""
+
+    def __init__(self, row):
+        super().__init__("ab", {})
+        self.row = np.asarray(row, dtype=float)
+
+    def next_log_probs(self, state):
+        return self.row if state == "a" else super().next_log_probs(state)
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("row", [[np.nan, -1.0, -1.0], [0.1, -1.0, -1.0]],
+                             ids=["nan", "positive"])
+    def test_rejects_scorer_row(self, row):
+        with pytest.raises(ValidationError, match="NaN or a log-probability above 0"):
+            s2s_decode(BadRowScorer(row), S2SConfig(width=4, max_length=5))
+
+    @pytest.mark.parametrize("row", [[np.nan, -1.0, -1.0], [0.1, -1.0, -1.0]],
+                             ids=["nan", "positive"])
+    def test_rejects_lm_row(self, row):
+        scorer = TableScorer("ab", {})
+        with pytest.raises(ValidationError, match="NaN or a log-probability above 0"):
+            s2s_decode(scorer, S2SConfig(width=4, max_length=5), BadRowScorer(row))
+
+
 class TestSerialization:
     def _roundtrip_text(self, scorer):
         buf = io.StringIO()
@@ -213,6 +239,11 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_table_scorer(io.StringIO("S2SM v1 ab\na\tb\tlots\n"))
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("header", ["S2SM v1 aba\n", "S2SM v1 \n"])
+    def test_bad_alphabet_is_parse_error(self, header):
+        with pytest.raises(ParseError):
+            load_table_scorer(io.StringIO(header))
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ParseError):
