@@ -17,6 +17,7 @@ from . import __version__
 from .beam import BeamConfig, beam_decode_rows
 from .ctc import Alphabet, enumerate_transcript_probabilities, greedy_decode
 from .errors import CapacityError, ParseError, ValidationError
+from .formats import opened
 from .lm import load_ngram, save_ngram, train_ngram
 from .metrics import _words, confusion_matrix, edit_distance
 from .s2s import S2SConfig, load_table_scorer, s2s_decode
@@ -70,7 +71,7 @@ def _cmd_decode(args, parser) -> int:
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
     # one row at a time, so memory is bounded by W, not by the file length
-    with open(args.emissions, "r", encoding="utf-8", newline="") as fh:
+    with opened(args.emissions, "r") as fh:
         alphabet, frames, rows = emission_rows(fh)
         log.info("decoding %d frames over %d symbols", frames, alphabet.size)
         text, score = beam_decode_rows(alphabet, rows, config, lm)

@@ -7,17 +7,21 @@ beams can share states safely.
 
 The n-gram implementation uses add-k smoothing and backs off to a shorter
 context only when a context was never seen in training, which keeps every
-score finite.
+score finite.  Its log-probability table is built whole at construction
+and fixed from then on: scoring is a backoff walk and a dict lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .formats import entry_columns, first_line, header_fields, opened, scan_entries
 
 #: End-of-sentence token.  Scored like a character but never emitted by CTC
 #: decoding; used by seq2seq termination and word-completion rollouts.
@@ -115,35 +119,102 @@ class NgramLm(CharLm):
     uses the longest stored suffix of the state, dropping leading tokens only
     while the context is entirely unseen.
 
-    Counts are fixed after construction; the per-context distribution cache
-    is append-only, so instances may be shared across threads.
+    The constructor checks every entry once and builds the whole table, one
+    read-only log-probability row per stored context; nothing changes after
+    that, so instances may be shared across threads.
     """
 
     def __init__(self, symbols: str, order: int, k: float,
                  counts: dict[tuple[str, ...], dict[str, int]]):
         super().__init__(symbols)
-        if order < 1:
-            raise ValidationError("order must be >= 1")
-        if not k > 0:
-            raise ValidationError("smoothing constant k must be > 0")
+        self._set_order_and_k(order, k)
         if () not in counts:
             raise ValidationError("counts must include the empty context")
-        for ctx, dist in counts.items():
-            if len(ctx) >= order:
-                raise ValidationError(f"context {ctx!r} too long for order {order}")
-            total = 0
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[int] = []
+        for i, (ctx, dist) in enumerate(counts.items()):
+            self._check_context(ctx)
             for tok, c in dist.items():
-                self.index_of(tok)
-                if c <= 0:
+                cols.append(self.index_of(tok))
+                if not c > 0:
                     raise ValidationError(f"count for {ctx!r} -> {tok!r} must be positive")
-                total += c
-            if total <= 0:
+            if not dist:
                 raise ValidationError(f"context {ctx!r} has no counts")
+            rows += [i] * len(dist)
+            values += dist.values()
+        self._fill(list(counts), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                   values)
+        self._counts = counts
+
+    @classmethod
+    def _from_columns(cls, symbols: str, order: int, k: float,
+                      contexts: list[tuple[str, ...]], rows: np.ndarray, cols: np.ndarray,
+                      counts: list[int]) -> "NgramLm":
+        """The model whose entry j gives context ``contexts[rows[j]]`` and
+        token column ``cols[j]`` the count ``counts[j]``.  The reader has
+        checked the entries: tokens in the alphabet, counts positive, no
+        duplicates, the empty context present."""
+        lm = cls.__new__(cls)
+        CharLm.__init__(lm, symbols)
+        lm._set_order_and_k(order, k)
+        if max(map(len, contexts)) >= order:  # name the first, as the constructor does
+            for ctx in contexts:
+                lm._check_context(ctx)
+        lm._fill(contexts, rows, cols, counts)
+        lm._entries = (contexts, rows, cols, counts)
+        return lm
+
+    def _set_order_and_k(self, order: int, k: float) -> None:
+        if order < 1:
+            raise ValidationError("order must be >= 1")
+        if not 0 < k < math.inf:
+            raise ValidationError("smoothing constant k must be finite and > 0")
         self.order = order
         self.k = float(k)
-        self._counts = counts
-        self._totals = {ctx: sum(d.values()) for ctx, d in counts.items()}
-        self._vec_cache: dict[tuple[str, ...], np.ndarray] = {}
+
+    def _check_context(self, ctx: tuple[str, ...]) -> None:
+        if len(ctx) >= self.order:
+            raise ValidationError(f"context {ctx!r} too long for order {self.order}")
+
+    def _fill(self, contexts, rows: np.ndarray, cols: np.ndarray, counts) -> None:
+        """Row i is log(k + count) - log(total + k * V) for context i, each
+        count and total converted to float as Python would, and each
+        denominator's log taken by ``math.log``."""
+        try:
+            values = np.fromiter(counts, dtype=float, count=len(counts))
+            totals = np.bincount(rows, weights=values, minlength=len(contexts))
+        except OverflowError:  # a count past the float range, so its total too
+            totals = np.array([math.inf])
+        if totals.max() >= 2.0 ** 53:  # the float sums may have rounded
+            exact = [0] * len(contexts)
+            for r, c in zip(rows.tolist(), counts):
+                exact[r] += c
+            totals = np.array([float(t) if t <= sys.float_info.max else math.inf
+                               for t in exact])
+        denoms = totals + self.k * self.vocab_size
+        overflow = np.flatnonzero(denoms == math.inf)
+        if overflow.size:
+            raise ValidationError(f"counts for context {contexts[overflow[0]]!r} "
+                                  f"plus k * {self.vocab_size} overflow a float")
+        log_denoms = np.array(list(map(math.log, denoms.tolist())))
+        table = np.full((len(contexts), self.vocab_size), self.k)
+        table[rows, cols] += values
+        np.log(table, out=table)
+        table -= log_denoms[:, None]
+        table.flags.writeable = False
+        self._rows = dict(zip(contexts, table))
+
+    @functools.cached_property
+    def _counts(self) -> dict[tuple[str, ...], dict[str, int]]:
+        """``{context: {token: count}}`` in file order, built when first read
+        (by :func:`save_ngram`) for a model loaded from a file."""
+        contexts, rows, cols, counts = self._entries
+        tokens = [*self.symbols, EOS]
+        out: dict[tuple[str, ...], dict[str, int]] = {ctx: {} for ctx in contexts}
+        for r, c, count in zip(rows.tolist(), cols.tolist(), counts):
+            out[contexts[r]][tokens[c]] = count
+        return out
 
     def initial_state(self):
         return ()
@@ -154,24 +225,13 @@ class NgramLm(CharLm):
             return ()
         return (tuple(state) + (ch,))[-(self.order - 1):]
 
-    def _resolve_context(self, state) -> tuple[str, ...]:
-        ctx = tuple(state)
-        while ctx and ctx not in self._counts:
-            ctx = ctx[1:]
-        return ctx
-
     def next_log_probs(self, state) -> np.ndarray:
-        ctx = self._resolve_context(state)
-        vec = self._vec_cache.get(ctx)
-        if vec is None:
-            arr = np.full(self.vocab_size, self.k)
-            for tok, c in self._counts.get(ctx, {}).items():
-                arr[self.index_of(tok)] += c
-            denom = self._totals.get(ctx, 0) + self.k * self.vocab_size
-            vec = np.log(arr) - math.log(denom)
-            vec.flags.writeable = False
-            self._vec_cache[ctx] = vec
-        return vec
+        ctx = tuple(state)
+        row = self._rows.get(ctx)
+        while row is None:  # back off; the empty context is always stored
+            ctx = ctx[1:]
+            row = self._rows.get(ctx)
+        return row
 
     def save(self, sink) -> None:
         save_ngram(self, sink)
@@ -203,8 +263,8 @@ def train_ngram(lines: Iterable[str], symbols: str, order: int = 3,
     """
     if order < 1:
         raise ValidationError("order must be >= 1")
-    if not k > 0:
-        raise ValidationError("smoothing constant k must be > 0")
+    if not 0 < k < math.inf:
+        raise ValidationError("smoothing constant k must be finite and > 0")
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     seen_any = False
     for raw in lines:
@@ -223,79 +283,89 @@ def train_ngram(lines: Iterable[str], symbols: str, order: int = 3,
     return NgramLm(symbols, order, k, counts)
 
 
-def _open_for_write(sink):
-    if hasattr(sink, "write"):
-        return sink, False
-    return open(sink, "w", encoding="utf-8", newline="\n"), True
-
-
-def _open_for_read(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
-
-
 def save_ngram(lm: NgramLm, sink) -> None:
     """Write the versioned text format: header, then context/char/count lines."""
-    fh, owned = _open_for_write(sink)
-    try:
+    with opened(sink, "w") as fh:
         fh.write(f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}\n")
         for ctx in sorted(lm._counts):
             dist = lm._counts[ctx]
             for tok in sorted(dist):
                 fh.write(f"{''.join(ctx)}\t{tok}\t{dist[tok]}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def load_ngram(source) -> NgramLm:
-    fh, owned = _open_for_read(source)
-    try:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty language model file", line=1)
-        header = header.rstrip("\n")
-        parts = header.split(" ", 4)
-        if len(parts) != 5 or parts[0] != "NGLM" or parts[1] != "v1":
-            raise ParseError(f"bad header {header!r}, expected '{NGLM_MAGIC} ...'", line=1)
+    """Read an NGLM file.  Every fault is a ParseError, with the number of
+    the first bad line when the fault is in one line."""
+    with opened(source, "r") as fh:
+        order_field, k_field, symbols = header_fields(
+            first_line(fh, "language model"), NGLM_MAGIC, 3)
         try:
-            order = int(parts[2])
-            k = float(parts[3])
+            order = int(order_field)
+            k = float(k_field)
         except ValueError as exc:
             raise ParseError(f"bad order/k in header: {exc}", line=1) from exc
-        symbols = parts[4]
         if not symbols:
             raise ParseError("header is missing the alphabet", line=1)
-        allowed = set(symbols)
-        counts: dict[tuple[str, ...], dict[str, int]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}",
-                                 line=lineno)
-            ctx_str, tok, count_str = fields
-            if any(c not in allowed for c in ctx_str):
-                raise ParseError(f"context {ctx_str!r} uses characters outside the alphabet",
-                                 line=lineno)
-            if tok != EOS and (len(tok) != 1 or tok not in allowed):
-                raise ParseError(f"unknown character field {tok!r}", line=lineno)
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise ParseError(f"bad count {count_str!r}", line=lineno) from exc
-            if count <= 0:
-                raise ParseError(f"count must be positive, got {count}", line=lineno)
-            dist = counts.setdefault(tuple(ctx_str), {})
-            if tok in dist:
-                raise ParseError(f"duplicate entry for {ctx_str!r} -> {tok!r}", line=lineno)
-            dist[tok] = count
-        if () not in counts:
-            raise ParseError("model has no empty-context counts")
-        return NgramLm(symbols, order, k, counts)
-    finally:
-        if owned:
-            fh.close()
+        lines = fh.readlines()
+    entries = _ngram_entries(lines, symbols)
+    try:
+        if entries is None:
+            return NgramLm(symbols, order, k, _scan_ngram(lines, symbols))
+        del lines  # not needed to build the table
+        return NgramLm._from_columns(symbols, order, k, *entries)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _ngram_entries(lines: list[str], symbols: str):
+    """The arguments of :meth:`NgramLm._from_columns` after ``symbols``,
+    read by column, if every line is well formed; None sends the caller to
+    :func:`_scan_ngram` to find the first bad line."""
+    columns = entry_columns(lines)
+    if columns is None:
+        return None
+    ctxs, toks, count_fields = columns
+    token_index = {c: i for i, c in enumerate(symbols)}
+    token_index[EOS] = len(symbols)
+    contexts = dict.fromkeys(ctxs)
+    if ("" not in contexts or not set(toks) <= token_index.keys()
+            or not set("".join(contexts)) <= set(symbols)):
+        return None
+    try:
+        counts = list(map(int, count_fields))
+    except ValueError:
+        return None
+    if min(counts) <= 0:
+        return None
+    context_index = dict(zip(contexts, range(len(contexts))))
+    rows = np.fromiter(map(context_index.__getitem__, ctxs), dtype=np.intp, count=len(ctxs))
+    cols = np.fromiter(map(token_index.__getitem__, toks), dtype=np.intp, count=len(toks))
+    if np.bincount(rows * (len(symbols) + 1) + cols).max() > 1:
+        return None  # a duplicate entry
+    return list(map(tuple, contexts)), rows, cols, counts
+
+
+def _scan_ngram(lines: list[str], symbols: str) -> dict[tuple[str, ...], dict[str, int]]:
+    """The body checked line by line, raising ParseError at the first bad
+    line."""
+    allowed = set(symbols)
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    for lineno, (ctx_str, tok, count_str) in scan_entries(lines):
+        if any(c not in allowed for c in ctx_str):
+            raise ParseError(f"context {ctx_str!r} uses characters outside the alphabet",
+                             line=lineno)
+        if tok != EOS and (len(tok) != 1 or tok not in allowed):
+            raise ParseError(f"unknown character field {tok!r}", line=lineno)
+        try:
+            count = int(count_str)
+        except ValueError as exc:
+            raise ParseError(f"bad count {count_str!r}", line=lineno) from exc
+        if count <= 0:
+            raise ParseError(f"count must be positive, got {count}", line=lineno)
+        dist = counts.setdefault(tuple(ctx_str), {})
+        if tok in dist:
+            raise ParseError(f"duplicate entry for {ctx_str!r} -> {tok!r}", line=lineno)
+        dist[tok] = count
+    if () not in counts:
+        raise ParseError("model has no empty-context counts")
+    return counts

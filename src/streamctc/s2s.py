@@ -31,13 +31,14 @@ stop rests on them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .lm import CharLm, UniformLm
+from .formats import entry_columns, first_line, header_fields, opened, scan_entries
+from .lm import EOS, CharLm, UniformLm
 
 S2SM_MAGIC = "S2SM v1"
 DIST_SUM_TOL = 1e-9
@@ -72,35 +73,61 @@ class TableScorer(CharLm):
     Prefixes not in the table fall back to a uniform distribution over the
     visible characters plus end-of-sentence, so the scorer is total.  States
     are the prefix strings themselves.  Character LMs satisfy the same
-    protocol and can stand in as scorers in tests.
+    protocol and can stand in as scorers in tests.  The constructor builds
+    every prefix's read-only log-probability row at once.
     """
 
     def __init__(self, symbols: str, table: dict[str, dict[str, float]]):
         super().__init__(symbols)
-        self._uniform = np.full(self.vocab_size, -np.log(self.vocab_size))
-        self._uniform.flags.writeable = False
-        self._rows: dict[str, np.ndarray] = {}
-        for prefix, dist in table.items():
+        probs = np.zeros((len(table), self.vocab_size))
+        for row, (prefix, dist) in zip(probs, table.items()):
             for ch in prefix:
                 if ch not in self._index:
                     raise ValidationError(
                         f"table prefix {prefix!r} uses characters outside the alphabet"
                     )
-            probs = np.zeros(self.vocab_size)
             for ch, p in dist.items():
                 if not 0.0 <= p <= 1.0:
                     raise ValidationError(f"probability {p!r} out of range")
-                probs[self.index_of(ch)] = p
-            if abs(probs.sum() - 1.0) > DIST_SUM_TOL:
+                row[self.index_of(ch)] = p
+            if abs(row.sum() - 1.0) > DIST_SUM_TOL:
                 raise ValidationError(
-                    f"distribution for prefix {prefix!r} sums to {probs.sum()!r}"
+                    f"distribution for prefix {prefix!r} sums to {row.sum()!r}"
                 )
-            with np.errstate(divide="ignore"):
-                row = np.log(probs)
-            row.flags.writeable = False
-            self._rows[prefix] = row
+        self._set_rows(list(table), probs)
         # kept for serialization round-trips
         self._table = {p: dict(d) for p, d in table.items()}
+
+    @classmethod
+    def _from_columns(cls, symbols: str, prefixes: list[str], probs: np.ndarray,
+                      entries: tuple[list[int], list[int], list[float]]) -> "TableScorer":
+        """The scorer whose row i holds ``probs[i]`` for ``prefixes[i]``;
+        the reader has checked the rows.  ``entries`` are the row, column
+        and probability of each file line, kept for :func:`save_table_scorer`."""
+        scorer = cls.__new__(cls)
+        CharLm.__init__(scorer, symbols)
+        scorer._set_rows(prefixes, probs)
+        scorer._entries = (prefixes, *entries)
+        return scorer
+
+    def _set_rows(self, prefixes: list[str], probs: np.ndarray) -> None:
+        self._uniform = np.full(self.vocab_size, -np.log(self.vocab_size))
+        self._uniform.flags.writeable = False
+        with np.errstate(divide="ignore"):
+            np.log(probs, out=probs)
+        probs.flags.writeable = False
+        self._rows = dict(zip(prefixes, probs))
+
+    @functools.cached_property
+    def _table(self) -> dict[str, dict[str, float]]:
+        """``{prefix: {token: probability}}`` in file order, built when first
+        read (by :func:`save_table_scorer`) for a scorer loaded from a file."""
+        prefixes, rows, cols, values = self._entries
+        tokens = [*self.symbols, EOS]
+        out: dict[str, dict[str, float]] = {p: {} for p in prefixes}
+        for r, c, p in zip(rows, cols, values):
+            out[prefixes[r]][tokens[c]] = p
+        return out
 
     def initial_state(self) -> str:
         return ""
@@ -120,56 +147,79 @@ class TableScorer(CharLm):
 
 
 def save_table_scorer(scorer: TableScorer, sink) -> None:
-    own = not hasattr(sink, "write")
-    fh: IO[str] = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with opened(sink, "w") as fh:
         fh.write(f"{S2SM_MAGIC} {scorer.symbols}\n")
         for prefix in sorted(scorer._table):
             dist = scorer._table[prefix]
             for ch in sorted(dist):
                 fh.write(f"{prefix}\t{ch}\t{dist[ch]!r}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_table_scorer(source) -> TableScorer:
-    own = not hasattr(source, "read")
-    fh: IO[str] = open(source, "r", encoding="utf-8", newline="") if own else source
+    """Read an S2SM file.  Every fault is a ParseError, with the number of
+    the first bad line when the fault is in one line."""
+    with opened(source, "r") as fh:
+        (symbols,) = header_fields(first_line(fh, "scorer"), S2SM_MAGIC, 1)
+        lines = fh.readlines()
+    entries = _table_entries(lines, symbols)
     try:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty scorer file", line=1)
-        header = header.rstrip("\n")
-        parts = header.split(" ", 2)
-        if len(parts) != 3 or parts[0] != "S2SM" or parts[1] != "v1":
-            raise ParseError(f"bad header {header!r}, expected '{S2SM_MAGIC} ...'", line=1)
-        symbols = parts[2]
-        table: dict[str, dict[str, float]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}",
-                                 line=lineno)
-            prefix, ch, prob_str = fields
-            try:
-                prob = float(prob_str)
-            except ValueError as exc:
-                raise ParseError(f"bad probability {prob_str!r}", line=lineno) from exc
-            dist = table.setdefault(prefix, {})
-            if ch in dist:
-                raise ParseError(f"duplicate entry for {prefix!r} -> {ch!r}", line=lineno)
-            dist[ch] = prob
+        if entries is None:
+            return TableScorer(symbols, _scan_table(lines))
+        del lines  # not needed to build the table
+        return TableScorer._from_columns(symbols, *entries)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _table_entries(lines: list[str], symbols: str):
+    """The arguments of :meth:`TableScorer._from_columns` after
+    ``symbols``, read by column, if every line and every row is valid; None
+    sends the caller to :func:`_scan_table` and the constructor to find the
+    first fault."""
+    columns = entry_columns(lines)
+    if columns is None:
+        return None
+    prefixes, chars, prob_fields = columns
+    token_index = {c: i for i, c in enumerate(symbols)}
+    token_index[EOS] = len(symbols)
+    unique = dict.fromkeys(prefixes)
+    if not set(chars) <= token_index.keys() or not set("".join(unique)) <= set(symbols):
+        return None
+    try:
+        values = list(map(float, prob_fields))
+    except ValueError:
+        return None
+    probs = np.array(values)
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
+        return None
+    prefix_index = dict(zip(unique, range(len(unique))))
+    rows = list(map(prefix_index.__getitem__, prefixes))
+    cols = list(map(token_index.__getitem__, chars))
+    width = len(symbols) + 1
+    flat = np.array(rows, dtype=np.intp) * width + np.array(cols, dtype=np.intp)
+    if np.bincount(flat, minlength=1).max() > 1:
+        return None  # a duplicate entry
+    table = np.zeros((len(unique), width))
+    table.flat[flat] = probs
+    if (np.abs(table.sum(axis=1) - 1.0) > DIST_SUM_TOL).any():
+        return None
+    return list(unique), table, (rows, cols, values)
+
+
+def _scan_table(lines: list[str]) -> dict[str, dict[str, float]]:
+    """The body checked line by line, raising ParseError at the first bad
+    line; the constructor checks the rows."""
+    table: dict[str, dict[str, float]] = {}
+    for lineno, (prefix, ch, prob_str) in scan_entries(lines):
         try:
-            return TableScorer(symbols, table)
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
-    finally:
-        if own:
-            fh.close()
+            prob = float(prob_str)
+        except ValueError as exc:
+            raise ParseError(f"bad probability {prob_str!r}", line=lineno) from exc
+        dist = table.setdefault(prefix, {})
+        if ch in dist:
+            raise ParseError(f"duplicate entry for {prefix!r} -> {ch!r}", line=lineno)
+        dist[ch] = prob
+    return table
 
 
 def _check_log_rows(rows: np.ndarray, source: str) -> None:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .ctc import Alphabet, EmissionMatrix, check_rows
 from .errors import ParseError, ValidationError
+from .formats import first_line, header_fields, opened
 
 CTCEM_MAGIC = "CTCEM v1"
 
@@ -93,34 +94,25 @@ def simulate(gt: str, alphabet: Alphabet, config: SimConfig | None = None) -> Em
 
 def save_emissions(em: EmissionMatrix, sink) -> None:
     """Write the versioned text format; floats use shortest round-trip repr."""
-    own = not hasattr(sink, "write")
-    fh: IO[str] = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with opened(sink, "w") as fh:
         fh.write(
             f"{CTCEM_MAGIC} {em.num_frames} {em.alphabet.size} "
             f"{em.alphabet.symbols}{BLANK_MARKER}\n"
         )
         for row in em.probs:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def parse_emissions_header(line: str) -> tuple[Alphabet, int]:
     """Parse a header line into (alphabet, declared frame count)."""
-    line = line.rstrip("\n")
-    parts = line.split(" ", 4)
-    if len(parts) != 5 or parts[0] != "CTCEM" or parts[1] != "v1":
-        raise ParseError(f"bad header {line!r}, expected '{CTCEM_MAGIC} ...'", line=1)
+    frames_field, width_field, field = header_fields(line, CTCEM_MAGIC, 3)
     try:
-        frames = int(parts[2])
-        width = int(parts[3])
+        frames = int(frames_field)
+        width = int(width_field)
     except ValueError as exc:
         raise ParseError(f"bad frame/width counts in header: {exc}", line=1) from exc
     if frames < 0:
         raise ParseError(f"negative frame count {frames}", line=1)
-    field = parts[4]
     if len(field) < 2:
         raise ParseError("header alphabet field needs at least one visible "
                          "character and the blank marker", line=1)
@@ -150,10 +142,7 @@ def emission_rows(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
     declared frame count and an iterator that parses the rows one at a time.
     Once the rows run out, the iterator raises ParseError unless it yielded
     as many as the header declares."""
-    header = fh.readline()
-    if not header:
-        raise ParseError("empty emission file", line=1)
-    alphabet, frames = parse_emissions_header(header)
+    alphabet, frames = parse_emissions_header(first_line(fh, "emission"))
 
     def rows() -> Iterator[np.ndarray]:
         count = 0
@@ -172,13 +161,8 @@ def emission_rows(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
 
 
 def load_emissions(source) -> EmissionMatrix:
-    own = not hasattr(source, "read")
-    fh: IO[str] = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with opened(source, "r") as fh:
         alphabet, _, rows = emission_rows(fh)
         rows = list(rows)
-        data = np.array(rows) if rows else np.zeros((0, alphabet.size))
-        return EmissionMatrix(alphabet, data)
-    finally:
-        if own:
-            fh.close()
+    data = np.array(rows) if rows else np.zeros((0, alphabet.size))
+    return EmissionMatrix(alphabet, data)

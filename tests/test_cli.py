@@ -68,6 +68,26 @@ class TestDecode:
             cli.main(["decode", str(demo_em)])  # default alpha 0.5
         assert exc.value.code == 2
 
+    # k = inf gave NaN LM rows and a transcript with exit 0; the count past
+    # the float range raised OverflowError out of main
+    @pytest.mark.parametrize("lm_text", ["NGLM v1 2 inf hi \n\th\t1\n",
+                                         f"NGLM v1 2 1.0 hi \n\th\t1{'0' * 400}\n"],
+                             ids=["k-inf", "count-1e400"])
+    @pytest.mark.parametrize("command", ["decode", "stream"])
+    def test_lm_past_the_float_range_is_parse_exit(self, capsys, monkeypatch, tmp_path,
+                                                   demo_em, lm_text, command):
+        lm = tmp_path / "bad.nglm"
+        lm.write_text(lm_text, encoding="utf-8")
+        if command == "decode":
+            code, out, err = run(capsys, ["decode", str(demo_em), "--lm", str(lm)])
+        else:
+            code, out, err = run(capsys, ["stream", "--lm", str(lm)],
+                                 stdin_text=demo_em.read_text(encoding="utf-8"),
+                                 monkeypatch=monkeypatch)
+            assert "error" in json.loads(out.splitlines()[-1])
+        assert code == 3
+        assert "parse error" in err
+
     def test_missing_file_is_validation_exit(self, capsys):
         code, _, err = run(capsys, ["decode", "no-such-file.em", "--alpha", "0"])
         assert code == 4

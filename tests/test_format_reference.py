@@ -1,0 +1,198 @@
+"""The column readers and prebuilt tables of NgramLm and TableScorer against
+the line-by-line reference in reference_formats.py: every row the same bit
+for bit, save -> load -> save byte-identical, and every malformed file
+rejected with the same exception, message and line."""
+
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamctc import (
+    EOS,
+    NgramLm,
+    ParseError,
+    TableScorer,
+    ValidationError,
+    load_ngram,
+    load_table_scorer,
+    save_ngram,
+    save_table_scorer,
+)
+from streamctc.cli import DEFAULT_ALPHABET
+
+from reference_formats import (
+    ReferenceNgramLm,
+    ReferenceTableScorer,
+    reference_load_ngram,
+    reference_load_table_scorer,
+)
+
+ALPHABETS = st.sampled_from(["ab", "cab ", "hi'", DEFAULT_ALPHABET])
+# past 2**53 the float sums of counts round, so totals are summed exactly
+COUNTS = st.integers(1, 50) | st.integers(1, 10**6) | st.sampled_from(
+    [2**53 - 1, 2**53 + 1, 2**60 + 1, 10**20, 10**300])
+OUTSIDE = "#"  # in no alphabet above
+
+
+def hexes(row):
+    return [x.hex() for x in row.tolist()]
+
+
+@st.composite
+def nglm_texts(draw):
+    symbols = draw(ALPHABETS)
+    order = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1.0, 0.5, 1e-3]) | st.floats(1e-6, 1e6))
+    contexts = [""]
+    if order > 1:
+        contexts += draw(st.lists(st.text(symbols, min_size=1, max_size=order - 1),
+                                  unique=True, max_size=8))
+    lines = [f"{ctx}\t{tok}\t{draw(COUNTS)}"
+             for ctx in contexts
+             for tok in draw(st.lists(st.sampled_from([*symbols, EOS]), min_size=1,
+                                      max_size=8, unique=True))]
+    lines = draw(st.permutations(lines))
+    return "".join([f"NGLM v1 {order} {k!r} {symbols}\n"] + [f"{line}\n" for line in lines])
+
+
+@st.composite
+def s2sm_texts(draw):
+    symbols = draw(ALPHABETS)
+    lines = []
+    for prefix in draw(st.lists(st.text(symbols, max_size=6), unique=True, max_size=6)):
+        tokens = draw(st.lists(st.sampled_from([*symbols, EOS]), min_size=1, max_size=8,
+                               unique=True))
+        weights = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                min_size=len(tokens), max_size=len(tokens)))
+        weights[0] += 1.0
+        total = sum(weights)
+        lines += [f"{prefix}\t{tok}\t{w / total!r}" for tok, w in zip(tokens, weights)]
+    lines = draw(st.permutations(lines))
+    return "".join([f"S2SM v1 {symbols}\n"] + [f"{line}\n" for line in lines])
+
+
+def saved(save, model) -> str:
+    buf = io.StringIO()
+    save(model, buf)
+    return buf.getvalue()
+
+
+class TestValidModels:
+    @settings(max_examples=150, deadline=None)
+    @given(nglm_texts(),
+           st.lists(st.lists(st.sampled_from([*DEFAULT_ALPHABET, EOS]), max_size=4), max_size=10))
+    def test_ngram_rows_match_the_reference(self, text, states):
+        lm = load_ngram(io.StringIO(text))
+        ref = reference_load_ngram(io.StringIO(text))
+        built = NgramLm(ref.symbols, ref.order, ref.k, ref._counts)
+        assert list(lm._counts) == list(ref._counts) and lm._counts == ref._counts
+        # every stored context, then states that back off to one
+        states = list(ref._counts) + [tuple(s) for s in states]
+        for state in states:
+            expected = hexes(ref.next_log_probs(state))
+            assert hexes(lm.next_log_probs(state)) == expected
+            assert hexes(built.next_log_probs(state)) == expected
+        first = saved(save_ngram, lm)
+        assert first == saved(save_ngram, ref)
+        assert saved(save_ngram, load_ngram(io.StringIO(first))) == first
+
+    @settings(max_examples=150, deadline=None)
+    @given(s2sm_texts())
+    def test_table_rows_match_the_reference(self, text):
+        scorer = load_table_scorer(io.StringIO(text))
+        ref = reference_load_table_scorer(io.StringIO(text))
+        built = TableScorer(ref.symbols, ref._table)
+        assert list(scorer._table) == list(ref._table) and scorer._table == ref._table
+        for prefix in [*ref._table, "never stored"]:
+            expected = hexes(ref.next_log_probs(prefix))
+            assert hexes(scorer.next_log_probs(prefix)) == expected
+            assert hexes(built.next_log_probs(prefix)) == expected
+        first = saved(save_table_scorer, scorer)
+        assert first == saved(save_table_scorer, ref)
+        assert saved(save_table_scorer, load_table_scorer(io.StringIO(first))) == first
+
+    def test_dict_constructors_match_the_reference(self):
+        counts = {(): {"a": 3, EOS: 2**60 + 1}, ("a",): {"b": 1}, ("z",): {"a": 0.5}}
+        lm = NgramLm("ab", 2, 0.25, counts)
+        ref = ReferenceNgramLm("ab", 2, 0.25, counts)
+        for state in [(), ("a",), ("z",), ("b",), ("a", "z")]:
+            assert hexes(lm.next_log_probs(state)) == hexes(ref.next_log_probs(state))
+        table = {"": {"a": 0.25, "b": 0.75}, "ab": {EOS: 1.0, "a": 0.0}}
+        scorer = TableScorer("ab", table)
+        ref_scorer = ReferenceTableScorer("ab", table)
+        for prefix in ["", "ab", "b"]:
+            assert hexes(scorer.next_log_probs(prefix)) == hexes(ref_scorer.next_log_probs(prefix))
+
+
+def outcome(load, text):
+    """("ok", rows) or (exception type, message, line)."""
+    try:
+        model = load(io.StringIO(text))
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    keys = model._counts if hasattr(model, "order") else model._table
+    return "ok", [hexes(model.next_log_probs(key)) for key in keys]
+
+
+@st.composite
+def mutated(draw, texts, bad_values):
+    """A valid file with one fault of the kinds a hand-edited or cut file
+    has, at a drawn line."""
+    text = draw(texts)
+    header, *body = text.split("\n")[:-1]
+    kind = draw(st.sampled_from([
+        "fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
+        "duplicate", "blank", "crlf", "empty", "no_body"]))
+    if kind == "empty":
+        return ""
+    if kind == "no_body":
+        return header + "\n"
+    if kind == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    i = draw(st.integers(0, len(body) - 1)) if body else 0
+    if not body:
+        body = [""]
+    ctx, tok, value = body[i].split("\t") if body[i] else ("", "a", "1")
+    if kind == "fields":
+        body[i] = draw(st.sampled_from([f"{ctx}\t{tok}", f"{ctx}\t{tok}\t{value}\t{value}",
+                                        f"{ctx}{tok}{value}"]))
+    elif kind == "truncate":
+        body[i] = body[i][: draw(st.integers(0, max(len(body[i]) - 1, 0)))]
+    elif kind == "outside":
+        at = draw(st.integers(0, len(ctx)))
+        body[i] = f"{ctx[:at]}{OUTSIDE}{ctx[at:]}\t{tok}\t{value}"
+    elif kind == "eos_in_context":
+        body[i] = f"{ctx}{EOS}\t{tok}\t{value}"
+    elif kind == "token":
+        body[i] = f"{ctx}\t{draw(st.sampled_from([OUTSIDE, 'ab', '', '</S>']))}\t{value}"
+    elif kind == "value":
+        body[i] = f"{ctx}\t{tok}\t{draw(bad_values)}"
+    elif kind == "duplicate":
+        body.insert(draw(st.integers(0, len(body))), body[i])
+    elif kind == "blank":
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", "\r", " "])))
+    return "\n".join([header, *body]) + "\n"
+
+
+BAD_COUNTS = st.sampled_from(["x", "1.5", "0", "-3", "", " ", "nan", "1e3"])
+# a value in [0, 1] breaks its row's sum; the others are out of range
+BAD_PROBABILITIES = st.sampled_from(["nan", "inf", "-inf", "-0.25", "1.5", "x", "", "0.123"])
+
+
+class TestMalformedFiles:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(nglm_texts(), BAD_COUNTS))
+    def test_ngram_faults_match_the_reference(self, text):
+        expected = outcome(reference_load_ngram, text)
+        if expected[0] is ValidationError:
+            # a model the constructor rejects is a parse error of the file
+            expected = (ParseError, expected[1], None)
+        assert outcome(load_ngram, text) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(s2sm_texts(), BAD_PROBABILITIES))
+    def test_table_faults_match_the_reference(self, text):
+        assert outcome(load_table_scorer, text) == outcome(reference_load_table_scorer, text)

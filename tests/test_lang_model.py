@@ -199,6 +199,16 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_ngram(io.StringIO("NGLM v1 2 1.0 ab\n\tz\t3\n"))
 
+    @pytest.mark.parametrize("text", [
+        "NGLM v1 2 inf ab\n\ta\t1\n",
+        "NGLM v1 2 nan ab\n\ta\t1\n",
+        f"NGLM v1 2 1.0 ab\n\ta\t1{'0' * 400}\n",
+        f"NGLM v1 2 1.0 ab\n\ta\t{10**308}\n\tb\t{10**308}\n",
+    ], ids=["k-inf", "k-nan", "count-1e400", "total-2e308"])
+    def test_model_past_the_float_range_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            load_ngram(io.StringIO(text))
+
     def test_alphabet_with_space_survives(self):
         lm = train_ngram(["a b"], "ab ", order=2)
         reloaded = load_ngram(io.StringIO(self._roundtrip(lm)))
@@ -217,6 +227,26 @@ class TestConstruction:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValidationError):
             train_ngram(["ab"], "ab", order=2, k=0.0)
+
+    # k = inf gave all-NaN rows; 1e308 * 3 overflows every denominator
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 1e308])
+    def test_rejects_k_that_is_not_finite_or_overflows(self, k):
+        with pytest.raises(ValidationError):
+            NgramLm("ab", 1, k, {(): {"a": 1}})
+
+    @pytest.mark.parametrize("dist", [{"a": 10**400}, {"a": 10**308, "b": 10**308},
+                                      {"a": 1.0, "b": math.inf}],
+                             ids=["count-1e400", "total-2e308", "count-inf"])
+    def test_rejects_counts_that_overflow_a_float(self, dist):
+        with pytest.raises(ValidationError, match="overflow a float"):
+            NgramLm("ab", 1, 1.0, {(): dist})
+
+    def test_counts_past_2_53_sum_exactly(self):
+        # 2**53 + 1 has no float; the total must be the int sum, rounded once
+        lm = NgramLm("ab", 1, 1.0, {(): {"a": 2**53 + 1, "b": 2**53 + 1}})
+        denom = (2**54 + 2) + 3.0
+        expected = math.log(1.0 + (2**53 + 1)) - math.log(denom)
+        assert lm.next_log_probs(())[0] == expected
 
     def test_advance_past_eos_falls_back(self):
         lm = train_ngram(["ab"], "ab", order=2)
