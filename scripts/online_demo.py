@@ -5,7 +5,8 @@ Trains a small character LM on a toy corpus, simulates peaky emissions for a
 sentence, and streams them through the online decoder, whose commits trail
 its lookahead by the lag, printing the evolving hypothesis with the LM's
 word completion in brackets.  Ends with the flushed transcript, the
-equivalent offline decode, and the display churn.
+equivalent offline decode, and the display churn.  Exits 1 when the
+flushed stream differs from the offline decode.
 """
 
 import argparse
@@ -74,7 +75,7 @@ def main() -> int:
     print(f"offline decode matches stream : {final == offline}")
     print(f"word error rate vs ground truth: {wer(args.sentence, final):.2f}")
     print(f"changes per frame              : {changes_per_frame(outputs):.2f}")
-    return 0
+    return 0 if final == offline else 1
 
 
 if __name__ == "__main__":

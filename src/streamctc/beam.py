@@ -20,10 +20,9 @@ A step makes one Python pass over the W hypotheses for their stay buckets,
 their extension bases and their LM rows; numpy then scores all W x |A|
 extensions at once.  The few extensions that equal a prefix already in the
 beam (s + c where s + c is itself a hypothesis) are merged into that
-hypothesis and masked out.  ``np.partition`` finds the W-th best score; only
-the candidates at or above it, ties included, get a prefix string, and they
-are sorted by (-score, prefix), so ties at the cut fall lexicographically.
-Only the W survivors advance the LM.
+hypothesis and masked out.  :func:`ranked_cut`, shared with the seq2seq
+search in ``s2s.py``, keeps the W best by (-score, prefix), so ties at the
+cut fall lexicographically.  Only the W survivors advance the LM.
 
 ``beam_step`` is pure: the input beam is never modified, so independent
 decodes can share beams, and the streaming decoder's beam after frame t is
@@ -60,6 +59,17 @@ def normalized_score(log_prob: float, length: int, beta: float) -> float:
     if beta == 0.0:
         return log_prob
     return log_prob / max(1, length) ** beta
+
+
+def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> list[tuple[float, str, int]]:
+    """The ``width`` best entries k of ``scores`` as (-score, prefix, k), best
+    first, so ties fall to the smaller prefix.  Only the entries at or above
+    the width-th best score, ties included, get a prefix, from
+    ``prefixes_of(ks)``, which gives the prefixes of the entries ``ks``."""
+    kth = np.partition(scores, -width)[-width] if scores.size > width else NEG_INF
+    cand = np.flatnonzero(scores >= kth)
+    ks = cand.tolist()
+    return sorted(zip([-score for score in scores[cand].tolist()], prefixes_of(ks), ks))[:width]
 
 
 @dataclass(frozen=True)
@@ -177,21 +187,14 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     ext_scores = ext if beta == 0.0 else ext / np.array(denoms)[:, None]
     scores = np.concatenate((stay_scores, ext_scores.ravel()))
 
-    # Everything scoring at least the W-th best is a candidate, ties included;
-    # only candidates get a prefix string, and only survivors an LM state.
-    width = config.width
-    kth = np.partition(scores, -width)[-width] if scores.size > width else NEG_INF
-    cand = np.flatnonzero(scores >= kth if kth > NEG_INF else scores > NEG_INF)
-    if not cand.size:
-        raise ValidationError("beam collapsed: the emission row assigns no mass "
-                              "to any reachable prefix")
-    ranked = []
-    for k, score in zip(cand.tolist(), scores[cand].tolist()):
-        prefix = hyps[k].prefix if k < n else hyps[(k - n) // m].prefix + symbols[(k - n) % m]
-        ranked.append((-score, prefix, k))
-    ranked.sort()
+    def prefixes_of(ks: list[int]) -> list[str]:
+        return [hyps[k].prefix if k < n else hyps[(k - n) // m].prefix + symbols[(k - n) % m]
+                for k in ks]
+
     out = []
-    for _, prefix, k in ranked[:width]:
+    for neg, prefix, k in ranked_cut(scores, config.width, prefixes_of):
+        if neg == math.inf:
+            break  # zero-probability prefixes rank last and are dropped
         if k < n:
             hyp = hyps[k]
             out.append(Hypothesis(prefix, stay_pb[k], stay_pnb[k], hyp.lm_state, hyp.lm_logprob))
@@ -201,6 +204,9 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
             out.append(Hypothesis(prefix, NEG_INF, float(ext[i, j]),
                                   lm.advance(hyp.lm_state, symbols[j]),
                                   hyp.lm_logprob + float(lm_lp[i, j])))
+    if not out:
+        raise ValidationError("beam collapsed: the emission row assigns no mass "
+                              "to any reachable prefix")
     return Beam(alphabet, tuple(out), beam.frame_index + 1)
 
 

@@ -19,7 +19,7 @@ from .ctc import Alphabet, enumerate_transcript_probabilities, greedy_decode
 from .errors import CapacityError, ParseError, ValidationError
 from .formats import opened
 from .lm import load_ngram, save_ngram, train_ngram
-from .metrics import _words, confusion_matrix, edit_distance
+from .metrics import confusion_matrix, corpus_error_rates
 from .s2s import S2SConfig, load_table_scorer, s2s_decode
 from .simulate import (
     SimConfig,
@@ -156,16 +156,9 @@ def _cmd_metrics(args, parser) -> int:
             pairs.append((ref, hyp))
     if not pairs:
         raise ValidationError("no scorable pairs (every reference was empty)")
-    word_edits = word_total = char_edits = char_total = 0
-    for ref, hyp in pairs:
-        ref_words, hyp_words = _words(ref), _words(hyp)
-        word_edits += edit_distance(ref_words, hyp_words).distance
-        word_total += len(ref_words)
-        ref_chars, hyp_chars = list(ref.strip()), list(hyp.strip())
-        char_edits += edit_distance(ref_chars, hyp_chars).distance
-        char_total += len(ref_chars)
-    print(f"WER {word_edits / word_total:.4f}")
-    print(f"CER {char_edits / char_total:.4f}")
+    word_rate, char_rate = corpus_error_rates(pairs)
+    print(f"WER {word_rate:.4f}")
+    print(f"CER {char_rate:.4f}")
     print(f"skipped {skipped}")
     if args.confusion:
         matrix = confusion_matrix(pairs)

@@ -199,22 +199,6 @@ def enumerate_transcript_probabilities(em: EmissionMatrix) -> dict[str, float]:
     return acc
 
 
-def _enumeration_probability(em: EmissionMatrix, text: str) -> float:
-    blank = em.alphabet.blank_index
-    symbols = em.alphabet.symbols
-    total = 0.0
-    for path, p in _iter_paths_with_probs(em):
-        chars = []
-        prev = -1
-        for idx in path:
-            if idx != prev and idx != blank:
-                chars.append(symbols[idx])
-            prev = idx
-        if "".join(chars) == text:
-            total += p
-    return total
-
-
 def _forward_probability(em: EmissionMatrix, text: str) -> float:
     """Standard CTC forward pass over the blank-interleaved label sequence."""
     T = em.num_frames
@@ -262,7 +246,7 @@ def exact_transcript_probability(
     if method == "forward":
         return _forward_probability(em, text)
     if method == "enumeration":
-        return _enumeration_probability(em, text)
+        return enumerate_transcript_probabilities(em).get(text, 0.0)
     raise ValidationError(f"unknown method {method!r}")
 
 

@@ -72,20 +72,37 @@ def _words(text: str) -> list[str]:
     return [w for w in text.strip().split(" ") if w]
 
 
+def _chars(text: str) -> list[str]:
+    return list(text.strip())
+
+
+def _rate(pairs: Sequence[tuple[str, str]], tokens, name: str) -> float:
+    """Edit distances summed over the (ref, hyp) pairs over the summed
+    reference lengths, both counted in the ``tokens`` of each string."""
+    edits = total = 0
+    for ref, hyp in pairs:
+        ref_tokens = tokens(ref)
+        edits += edit_distance(ref_tokens, tokens(hyp)).distance
+        total += len(ref_tokens)
+    if not total:
+        raise ValidationError(f"{name} is undefined for an empty reference")
+    return edits / total
+
+
 def wer(ref: str, hyp: str) -> float:
     """Word error rate: word-level edit distance over the reference length."""
-    ref_words = _words(ref)
-    if not ref_words:
-        raise ValidationError("WER is undefined for an empty reference")
-    return edit_distance(ref_words, _words(hyp)).distance / len(ref_words)
+    return _rate([(ref, hyp)], _words, "WER")
 
 
 def cer(ref: str, hyp: str) -> float:
     """Character error rate over the trimmed strings (spaces count)."""
-    ref_chars = list(ref.strip())
-    if not ref_chars:
-        raise ValidationError("CER is undefined for an empty reference")
-    return edit_distance(ref_chars, list(hyp.strip())).distance / len(ref_chars)
+    return _rate([(ref, hyp)], _chars, "CER")
+
+
+def corpus_error_rates(pairs: Sequence[tuple[str, str]]) -> tuple[float, float]:
+    """Corpus WER and CER: every pair's edits summed over the summed
+    reference lengths, so long references weigh more."""
+    return _rate(pairs, _words, "WER"), _rate(pairs, _chars, "CER")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,14 +10,12 @@ fused scores are comparable across lengths; hypotheses still unfinished at
 ``max_length`` are force-finalized the same way.
 
 A step makes one Python pass over the at most W active hypotheses, which
-all have the same length L, for their scorer and LM rows.  Each active
-becomes a final through its end-of-sentence term, scored one at a time;
-numpy scores all W x |A| extensions at once, divided by the one scalar
-LP(L + 1).  ``np.partition`` finds the W-th best score among the kept
-finals and the extensions; only the extensions at or above it, ties
-included, get a prefix string, and they are sorted with the finals by
-(-score, prefix, kind).  Only the surviving extensions advance the scorer
-and the LM.
+all have the same length L, for their scorer and LM rows.  numpy scores
+each active's end-of-sentence final over LP(L) and all W x |A| extensions
+over LP(L + 1) at once.  The kept finals and the extensions go through
+:func:`streamctc.beam.ranked_cut`, the CTC beam's cut: the W best by
+(-score, prefix, kind) survive.  Only the surviving extensions advance the
+scorer and the LM.
 
 The search stops early, with the same result, once the best kept final
 scores strictly above (log p(y|x) + alpha * log p_LM(y)) / LP(max_length)
@@ -36,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beam import ranked_cut
 from .errors import ParseError, ValidationError
 from .formats import entry_columns, first_line, header_fields, opened, scan_entries
 from .lm import EOS, CharLm, UniformLm
@@ -244,10 +243,6 @@ def s2s_decode(
     alpha, beta, width = config.alpha, config.beta, config.width
     ceiling = length_penalty(config.max_length, beta)
 
-    def fused(lp_sc: float, lp_lm: float, length: int) -> float:
-        total = lp_sc + (alpha * lp_lm if alpha else 0.0)
-        return total / length_penalty(length, beta)
-
     # actives: (prefix, scorer state, lm state, log p(y|x), log p_LM(y)), all
     # of one length; finals: (-fused score, prefix), best first after a step
     actives = [("", scorer.initial_state(), lm.initial_state(), 0.0, 0.0)]
@@ -266,33 +261,24 @@ def s2s_decode(
         _check_log_rows(lm_rows, "LM")
         sc = np.array(base_sc)[:, None] + sc_rows
         lm_lp = np.array(base_lm)[:, None] + lm_rows
+        total = sc + alpha * lm_lp if alpha else sc
         # each active also ends here, with its end-of-sentence terms
-        finals += [(-fused(float(sc[i, m]), float(lm_lp[i, m]), length), active[0])
-                   for i, active in enumerate(actives)]
+        ends = (total[:, m] / length_penalty(length, beta)).tolist()
+        finals += [(-score, active[0]) for score, active in zip(ends, actives)]
         if length == config.max_length:
             break  # the length cap: everything still active is now final
 
-        total = sc + alpha * lm_lp if alpha else sc
         ext = total[:, :m] / length_penalty(length + 1, beta)
         nf = len(finals)
         scores = np.concatenate(([-neg for neg, _ in finals], ext.ravel()))
-        # Everything scoring at least the W-th best is a candidate, ties
-        # included; only candidates get a prefix string.  Finals come first
-        # in k, so (-score, prefix, k) sorts as (-score, prefix, kind).
-        kth = np.partition(scores, -width)[-width] if scores.size > width else -np.inf
-        cand = np.flatnonzero(scores >= kth)
-        ranked = []
-        for k, score in zip(cand.tolist(), scores[cand].tolist()):
-            if k < nf:
-                prefix = finals[k][1]
-            else:
-                i, j = divmod(k - nf, m)
-                prefix = actives[i][0] + symbols[j]
-            ranked.append((-score, prefix, k))
-        ranked.sort()
+
+        def prefixes_of(ks: list[int]) -> list[str]:
+            return [finals[k][1] if k < nf else actives[(k - nf) // m][0] + symbols[(k - nf) % m]
+                    for k in ks]
 
         kept, survivors, bound = [], [], -np.inf
-        for neg, prefix, k in ranked[:width]:
+        # finals come first in k, so the cut sorts by (-score, prefix, kind)
+        for neg, prefix, k in ranked_cut(scores, width, prefixes_of):
             if k < nf:
                 kept.append((neg, prefix))
             else:

@@ -11,8 +11,11 @@ from streamctc import (
     Alphabet,
     BeamConfig,
     CharLm,
+    EmissionMatrix,
     SimConfig,
+    StreamingDecoder,
     ValidationError,
+    beam_decode,
     beam_init,
     beam_step,
     normalized_score,
@@ -42,6 +45,15 @@ class NoCLm(CharLm):
 
     def advance(self, state, ch):
         return state + ch
+
+
+class NoALm(NoCLm):
+    """Gives 'a' zero probability (log -inf) and spreads the rest evenly."""
+
+    def next_log_probs(self, state):
+        vec = np.full(self.vocab_size, -np.log(self.vocab_size - 1))
+        vec[self.index_of("a")] = -np.inf
+        return vec
 
 
 def snapshot(beam):
@@ -147,3 +159,37 @@ class TestMatchesReference:
         config = BeamConfig(width=8, alpha=alpha, beta=0.1)
         rows = [make_row("zeros", seed, SMALL.size) for seed in range(8)]
         run_both(SMALL, rows, config, NoCLm(SMALL.symbols))
+
+
+class TestBeamCollapse:
+    """All of the row's mass on 'a', which the LM rules out, and none on the
+    blank: no prefix keeps any probability, so the search cannot go on."""
+
+    AB = Alphabet("ab")
+    ROW = [1.0, 0.0, 0.0]
+    COLLAPSED = "beam collapsed: the emission row assigns no mass to any reachable prefix"
+
+    @pytest.mark.parametrize("width", [1, 100])
+    def test_beam_step_and_reference_raise(self, width):
+        config = BeamConfig(width=width, alpha=0.5)
+        lm = NoALm(self.AB.symbols)
+        beam = beam_init(self.AB, config, lm)
+        for step in (beam_step, reference_beam_step):
+            with pytest.raises(ValidationError) as exc:
+                step(beam, self.ROW, config, lm)
+            assert str(exc.value) == self.COLLAPSED
+
+    def test_beam_decode_raises(self):
+        em = EmissionMatrix(self.AB, [[0.5, 0.25, 0.25], self.ROW])
+        with pytest.raises(ValidationError) as exc:
+            beam_decode(em, BeamConfig(alpha=0.5), NoALm(self.AB.symbols))
+        assert str(exc.value) == self.COLLAPSED
+
+    def test_push_raises_and_counts_no_frame(self):
+        dec = StreamingDecoder(self.AB, BeamConfig(alpha=0.5), lag=1,
+                               lm=NoALm(self.AB.symbols))
+        dec.push([0.5, 0.25, 0.25])
+        with pytest.raises(ValidationError) as exc:
+            dec.push(self.ROW)
+        assert str(exc.value) == self.COLLAPSED
+        assert dec.frames_seen == 1

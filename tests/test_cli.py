@@ -141,6 +141,28 @@ class TestDecode:
         assert (got, out) == (code, "")
         assert err == f"streamctc: {prefix}{exc.value}\n"
 
+    @pytest.mark.parametrize("header,message", [
+        ("CTCEM v1 x 3 ab-", "bad frame/width counts in header: "
+                             "invalid literal for int() with base 10: 'x'"),
+        ("CTCEM v1 -1 3 ab-", "negative frame count -1"),
+        ("CTCEM v1 0 1 -", "header alphabet field needs at least one visible "
+                           "character and the blank marker"),
+    ], ids=["frames-not-int", "negative-frames", "no-visible-character"])
+    def test_bad_header_is_parse_exit(self, capsys, monkeypatch, tmp_path, header, message):
+        path = tmp_path / "bad.em"
+        path.write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_emissions(path)
+        assert (exc.value.line, str(exc.value)) == (1, f"line 1: {message}")
+        code, out, err = run(capsys, ["decode", str(path), "--alpha", "0"])
+        assert (code, out) == (3, "")
+        assert err == f"streamctc: parse error: line 1: {message}\n"
+        code, out, _ = run(capsys, ["stream", "--alpha", "0"],
+                           stdin_text=f"{header}\n", monkeypatch=monkeypatch)
+        assert code == 3
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"error": f"line 1: {message}"}]
+
     def test_missing_lm_is_usage_error_before_reading(self, capsys):
         # the LM is checked before the file is opened
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +348,14 @@ class TestS2SDecode:
         assert code == 0
         assert out.split("\t")[0] == "hi"
 
+
+    def test_bad_max_length_is_validation_exit(self, capsys, tmp_path):
+        path = tmp_path / "scorer.s2sm"
+        path.write_text("S2SM v1 hi\n\th\t1.0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["s2s-decode", str(path), "--alpha", "0",
+                                      "--max-length", "0"])
+        assert (code, out) == (4, "")
+        assert err == "streamctc: max_length must be >= 1\n"
 
     def test_missing_lm_is_usage_error_before_reading(self, capsys):
         # the LM is checked before the scorer file is opened, as in decode

@@ -259,6 +259,10 @@ class TestConfig:
         with pytest.raises(ValidationError):
             BeamConfig(alpha=-0.1)
 
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValidationError, match="beta must be >= 0"):
+            BeamConfig(beta=-1)
+
     def test_log_add(self):
         assert log_add(NEG_INF, NEG_INF) == NEG_INF
         assert log_add(0.0, NEG_INF) == 0.0

@@ -143,7 +143,7 @@ def mutated(draw, texts, bad_values):
     header, *body = text.split("\n")[:-1]
     kind = draw(st.sampled_from([
         "fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
-        "duplicate", "blank", "crlf", "empty", "no_body"]))
+        "duplicate", "blank", "crlf", "empty", "no_body", "long_context"]))
     if kind == "empty":
         return ""
     if kind == "no_body":
@@ -170,6 +170,10 @@ def mutated(draw, texts, bad_values):
         body[i] = f"{ctx}\t{draw(st.sampled_from([OUTSIDE, 'ab', '', '</S>']))}\t{value}"
     elif kind == "value":
         body[i] = f"{ctx}\t{tok}\t{draw(bad_values)}"
+    elif kind == "long_context":
+        # four characters make a context too long for every NGLM order drawn
+        symbols = header.split(" ", 4 if header.startswith("NGLM") else 2)[-1]
+        body[i] = f"{draw(st.text(symbols, min_size=4, max_size=4))}{ctx}\t{tok}\t{value}"
     elif kind == "duplicate":
         body.insert(draw(st.integers(0, len(body))), body[i])
     elif kind == "blank":

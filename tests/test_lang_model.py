@@ -241,6 +241,17 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="overflow a float"):
             NgramLm("ab", 1, 1.0, {(): dist})
 
+    @pytest.mark.parametrize("counts,message", [
+        ({(): {"a": 1}, ("a", "b"): {"a": 1}}, "context ('a', 'b') too long for order 2"),
+        ({(): {"a": 1, "b": 0}}, "count for () -> 'b' must be positive"),
+        ({(): {"a": 1}, ("b",): {"a": -2}}, "count for ('b',) -> 'a' must be positive"),
+        ({(): {"a": 1}, ("a",): {}}, "context ('a',) has no counts"),
+    ], ids=["context-too-long", "zero-count", "negative-count", "empty-distribution"])
+    def test_rejects_bad_contexts_and_counts(self, counts, message):
+        with pytest.raises(ValidationError) as exc:
+            NgramLm("ab", 2, 1.0, counts)
+        assert str(exc.value) == message
+
     def test_counts_past_2_53_sum_exactly(self):
         # 2**53 + 1 has no float; the total must be the int sum, rounded once
         lm = NgramLm("ab", 1, 1.0, {(): {"a": 2**53 + 1, "b": 2**53 + 1}})

@@ -12,6 +12,7 @@ from streamctc import (
     edit_distance,
     wer,
 )
+from streamctc.metrics import corpus_error_rates
 
 texts = st.text(alphabet="abcd ", max_size=10)
 
@@ -98,6 +99,22 @@ class TestWerCer:
     def test_nonnegative(self, ref, hyp):
         assert wer(ref, hyp) >= 0.0
         assert cer(ref, hyp) >= 0.0
+
+
+class TestCorpusErrorRates:
+    def test_sums_edits_over_summed_reference_lengths(self):
+        pairs = [("the cat", "the bat"), ("a dog ran home", "a dog ran home"), ("hi", "")]
+        # words: 1 + 0 + 1 edits over 2 + 4 + 1; chars: 1 + 0 + 2 over 7 + 14 + 2
+        assert corpus_error_rates(pairs) == (2 / 7, 3 / 23)
+
+    @given(texts.filter(str.strip), texts)
+    def test_single_pair_equals_wer_and_cer(self, ref, hyp):
+        assert corpus_error_rates([(ref, hyp)]) == (wer(ref, hyp), cer(ref, hyp))
+
+    @pytest.mark.parametrize("pairs", [[], [("", "abc"), (" ", "")]])
+    def test_no_reference_words_raises(self, pairs):
+        with pytest.raises(ValidationError):
+            corpus_error_rates(pairs)
 
 
 class TestConfusionMatrix:

@@ -79,6 +79,19 @@ class TestLengthPenalty:
             length_penalty(-1, 0.5)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"width": 0}, "beam width must be >= 1"),
+        ({"max_length": 0}, "max_length must be >= 1"),
+        ({"alpha": -0.1}, "alpha and beta must be >= 0"),
+        ({"beta": -0.1}, "alpha and beta must be >= 0"),
+    ])
+    def test_rejects_out_of_range_fields(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            S2SConfig(**kwargs)
+        assert str(exc.value) == message
+
+
 class TestTableScorer:
     def test_listed_prefix(self):
         scorer = TableScorer("ab", {"": {"a": 0.5, "b": 0.25, EOS: 0.25}})
