@@ -16,23 +16,42 @@ Pruning keeps the W prefixes with the highest length-normalized score
 log p / max(1, |prefix|)**beta, breaking ties lexicographically, and drops
 prefixes whose total probability is zero.
 
-A step makes one Python pass over the W hypotheses for their stay buckets,
-their extension bases and their LM rows; numpy then scores all W x |A|
-extensions at once.  The few extensions that equal a prefix already in the
-beam (s + c where s + c is itself a hypothesis) are merged into that
-hypothesis and masked out.  :func:`ranked_cut`, shared with the seq2seq
-search in ``s2s.py``, keeps the W best by (-score, prefix), so ties at the
-cut fall lexicographically.  Only the W survivors advance the LM.
+A beam is a set of arrays, one entry per hypothesis: both buckets and their
+sum, the final character, the length, the LM state and accumulated LM
+log-probability, a hash of the prefix and of the prefix less its last
+character, and the prefix itself as a pointer node.  A node is
+``(parent node, chunk)`` for every full chunk of ``_CHUNK`` characters,
+plus a tail string of the rest, so hypotheses share their common history
+and the memory is bounded by W plus the transcript.
 
-``beam_step`` is pure: the input beam is never modified, so independent
-decodes can share beams, and the streaming decoder's beam after frame t is
-exactly the offline beam over the same rows.  It rejects rows that are not
-finite, in [0, 1] and summing to 1, whatever route they came by.
+A step is a fixed number of numpy operations over these arrays and the
+W x |A| extension grid, whose cost does not grow with the transcript, plus
+two short Python passes.  One pairs each hypothesis s + c with the
+hypothesis s, whose extension by c it absorbs, by a dict of hashes, and
+checks each pair on the nodes.  The other is ``math``'s log-add for the
+merged pairs and for the hypotheses whose two buckets are both finite
+(numpy's ``exp`` and ``log1p`` differ from ``math``'s in the last bit).
+:func:`ranked_cut`, shared with the seq2seq search in ``s2s.py``, keeps
+the W best by (-score, prefix): it sorts by score in numpy and spells
+prefixes only for entries that tie exactly, and then only the chunks where
+they part.  Only the W survivors advance the LM, in one batched call.
+Prefix strings are spelled for outputs: :attr:`Beam.hypotheses` and
+:attr:`Beam.best` are views built on demand.
+
+``beam_step`` is pure: nothing the input beam holds changes (it may keep a
+table of length powers for the next step), so independent decodes can share
+beams, and the streaming decoder's beam after frame t is
+exactly the offline beam over the same rows.  It rejects emission rows that
+are not finite, in [0, 1] and summing to 1, and LM rows holding NaN or a
+log-probability above 0, whatever route they came by.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,7 +59,11 @@ import numpy as np
 
 from .ctc import NEG_INF, Alphabet, EmissionMatrix, check_rows
 from .errors import ValidationError
-from .lm import CharLm, UniformLm
+from .lm import CharLm, UniformLm, check_log_rows
+
+_CHUNK = 64  # prefix characters per shared node
+_HASH_MUL = 0x9E3779B97F4A7C15  # prefix hash: h(s + c) = h(s) * _HASH_MUL + index(c) + 1
+_COLLAPSED = "beam collapsed: the emission row assigns no mass to any reachable prefix"
 
 
 def log_add(a: float, b: float) -> float:
@@ -54,6 +77,17 @@ def log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+def _log_add_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`log_add` over two arrays, bit for bit: ``math`` takes the
+    log1p and exp terms (numpy's differ from it in the last bit), numpy the
+    exact sums; where a term is -inf the result is the other."""
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    terms = map(math.log1p, map(math.exp, map(operator.sub, lo.tolist(), hi.tolist())))
+    out = hi + np.fromiter(terms, dtype=np.float64, count=hi.size)
+    np.copyto(out, hi, where=lo == NEG_INF)  # and not NaN where both are
+    return out
+
+
 def normalized_score(log_prob: float, length: int, beta: float) -> float:
     """log p / max(1, length)**beta; the empty prefix divides by 1."""
     if beta == 0.0:
@@ -61,15 +95,42 @@ def normalized_score(log_prob: float, length: int, beta: float) -> float:
     return log_prob / max(1, length) ** beta
 
 
-def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> list[tuple[float, str, int]]:
-    """The ``width`` best entries k of ``scores`` as (-score, prefix, k), best
-    first, so ties fall to the smaller prefix.  Only the entries at or above
-    the width-th best score, ties included, get a prefix, from
-    ``prefixes_of(ks)``, which gives the prefixes of the entries ``ks``."""
+def _denominators(beta: float, length: np.ndarray, table: np.ndarray | None):
+    """``max(1, k) ** beta`` for k in ``length`` and in ``length + 1``, and
+    the table of ``max(1, k) ** beta`` they are read from: ``table``, or a
+    longer one when it is None or too short.  Each entry is Python's ``**``
+    as :func:`normalized_score` takes it (numpy's power differs from it in
+    the last bit for some k)."""
+    try:
+        return table[length], table[length + 1], table
+    except (TypeError, IndexError):  # no table yet, or too short
+        size = 2 * int(length.max()) + 64
+        table = np.fromiter((max(1, k) ** beta for k in range(size)), dtype=np.float64,
+                            count=size)
+        return table[length], table[length + 1], table
+
+
+def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> np.ndarray:
+    """The entries k of the ``width`` best ``scores``, best first, ordered by
+    (-score, prefix, k).  Scores are sorted in numpy; only entries that tie
+    exactly with another among the kept or across the cut are ordered by
+    prefix, through ``prefixes_of(ks)``: strings that order as the prefixes
+    of the entries ``ks`` do."""
     kth = np.partition(scores, -width)[-width] if scores.size > width else NEG_INF
-    cand = np.flatnonzero(scores >= kth)
-    ks = cand.tolist()
-    return sorted(zip([-score for score in scores[cand].tolist()], prefixes_of(ks), ks))[:width]
+    order = (scores >= kth).nonzero()[0]
+    order = order[np.argsort(scores[order])[::-1]]
+    ranked = scores[order[:width + 1]]
+    if (ranked[1:] == ranked[:-1]).any():  # ties among the kept or across the cut
+        order = order[:np.count_nonzero(scores >= ranked[min(width, ranked.size) - 1])]
+        ranked = scores[order]
+        starts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()]
+        for a, b in zip(starts, starts[1:] + [order.size]):
+            if a >= width:
+                break
+            if b - a > 1:
+                ks = order[a:b].tolist()
+                order[a:b] = [k for _, k in sorted(zip(prefixes_of(ks), ks))]
+    return order[:width]
 
 
 @dataclass(frozen=True)
@@ -100,114 +161,320 @@ class Hypothesis:
         return log_add(self.log_pb, self.log_pnb)
 
 
-@dataclass(frozen=True)
+def _spell(node, tail: str) -> str:
+    """The prefix of a hypothesis from its node chain and tail."""
+    parts = [tail]
+    while node is not None:
+        node, chunk = node
+        parts.append(chunk)
+    parts.reverse()
+    return "".join(parts)
+
+
+def _spell_apart(beam: "Beam", rows: list[int]) -> list[str]:
+    """The prefixes of the hypotheses ``rows`` less the chunks that all of
+    them share: they order as the whole prefixes do, and spelling them walks
+    only the chunks where they part."""
+    nodes, tails = beam._node[rows].tolist(), beam._tail[rows].tolist()
+    if nodes.count(nodes[0]) == len(nodes):  # one history: the tails decide
+        return tails
+    parts = [[tail] for tail in tails]
+    depths = (beam._length[rows] // _CHUNK).tolist()
+    low = min(depths)
+    for i, depth in enumerate(depths):
+        for _ in range(depth - low):
+            nodes[i], chunk = nodes[i]
+            parts[i].append(chunk)
+    while any(node is not nodes[0] for node in nodes):  # all at one depth now
+        for i, part in enumerate(parts):
+            nodes[i], chunk = nodes[i]
+            part.append(chunk)
+    return ["".join(reversed(part)) for part in parts]
+
+
+@functools.lru_cache(maxsize=16)
+def _symbol_arrays(symbols: str) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols as objects, and each symbol's hash digit, its index + 1."""
+    arrays = (np.fromiter(symbols, dtype=object, count=len(symbols)),
+              np.arange(1, len(symbols) + 1, dtype=np.uint64))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_lm(symbols: str) -> UniformLm:
+    return UniformLm(symbols)
+
+
 class Beam:
     """Hypotheses for one frame, with distinct prefixes, sorted by pruning
-    score descending."""
+    score descending.
 
-    alphabet: Alphabet
-    hypotheses: tuple[Hypothesis, ...]
-    frame_index: int = 0
+    ``Beam(alphabet, hypotheses, frame_index)`` builds a beam from
+    :class:`Hypothesis` values; :func:`beam_step` builds its beams from
+    arrays.  :attr:`hypotheses` and :attr:`best` are views built on demand.
+    """
+
+    __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
+                 "_last", "_length", "_hash", "_parent_hash", "_state", "_node",
+                 "_tail", "_view", "_best_prefix", "_powers")
+
+    def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
+                 frame_index: int = 0):
+        hyps = tuple(hypotheses)
+        index = alphabet._index
+        nodes, tails, hashes, parent_hashes, lasts = [], [], [], [], []
+        shared = {}  # (id of parent node, chunk) -> node, so prefixes share history
+        for hyp in hyps:
+            prefix = hyp.prefix
+            alphabet.validate_text(prefix)
+            digest = parent = 0
+            for ch in prefix:
+                parent, digest = digest, (digest * _HASH_MUL + index[ch] + 1) % 2**64
+            hashes.append(digest)
+            parent_hashes.append(parent)
+            lasts.append(index[prefix[-1]] if prefix else len(alphabet.symbols))
+            node = None
+            cut = len(prefix) - len(prefix) % _CHUNK
+            for start in range(0, cut, _CHUNK):
+                chunk = prefix[start:start + _CHUNK]
+                node = shared.setdefault((id(node), chunk), (node, chunk))
+            nodes.append(node)
+            tails.append(prefix[cut:])
+
+        def floats(values):
+            return np.array(list(values), dtype=np.float64)
+
+        self._set(alphabet, frame_index, floats(h.log_pb for h in hyps),
+                  floats(h.log_pnb for h in hyps), floats(h.log_prob for h in hyps),
+                  floats(h.lm_logprob for h in hyps), np.array(lasts, dtype=np.intp),
+                  np.array([len(h.prefix) for h in hyps], dtype=np.intp),
+                  np.array(hashes, dtype=np.uint64), np.array(parent_hashes, dtype=np.uint64),
+                  _state_array([h.lm_state for h in hyps]),
+                  np.fromiter(nodes, dtype=object, count=len(hyps)),
+                  np.fromiter(tails, dtype=object, count=len(hyps)))
+        self._view = hyps
+
+    def _set(self, alphabet, frame_index, pb, pnb, total, lm_logprob, last, length,
+             digest, parent_digest, state, node, tail) -> "Beam":
+        self.alphabet = alphabet
+        self.frame_index = frame_index
+        self._pb, self._pnb, self._total, self._lm_logprob = pb, pnb, total, lm_logprob
+        self._last, self._length = last, length
+        self._hash, self._parent_hash = digest, parent_digest
+        self._state, self._node, self._tail = state, node, tail
+        self._view = self._best_prefix = self._powers = None
+        return self
+
+    @property
+    def hypotheses(self) -> Sequence[Hypothesis]:
+        if self._view is None:
+            self._view = _HypothesisView(self)
+        return self._view
 
     @property
     def best(self) -> Hypothesis:
-        return self.hypotheses[0]
+        return self._hypothesis(0)
+
+    def _prefix(self, row: int) -> str:
+        if row == 0:
+            if self._best_prefix is None:
+                self._best_prefix = _spell(self._node[0], self._tail[0])
+            return self._best_prefix
+        return _spell(self._node[row], self._tail[row])
+
+    def _hypothesis(self, row: int) -> Hypothesis:
+        return Hypothesis(self._prefix(row), float(self._pb[row]), float(self._pnb[row]),
+                          self._state[row:row + 1].tolist()[0],
+                          float(self._lm_logprob[row]))
+
+    def _score(self, row: int, beta: float) -> float:
+        return normalized_score(float(self._total[row]), int(self._length[row]), beta)
+
+    def __len__(self) -> int:
+        return self._pb.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Beam):
+            return NotImplemented
+        return ((self.alphabet, self.frame_index, tuple(self.hypotheses))
+                == (other.alphabet, other.frame_index, tuple(other.hypotheses)))
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.frame_index, tuple(self.hypotheses)))
+
+    def __repr__(self) -> str:
+        return (f"Beam(alphabet={self.alphabet!r}, hypotheses={tuple(self.hypotheses)!r}, "
+                f"frame_index={self.frame_index!r})")
+
+
+class _HypothesisView(Sequence):
+    """The hypotheses of a beam, spelled out when first read."""
+
+    __slots__ = ("_beam", "_items")
+
+    def __init__(self, beam: Beam):
+        self._beam = beam
+        self._items = None
+
+    def __len__(self) -> int:
+        return len(self._beam)
+
+    def __getitem__(self, i):
+        if self._items is None:
+            self._items = tuple(map(self._beam._hypothesis, range(len(self._beam))))
+        return self._items[i]
+
+
+def _state_array(states: list) -> np.ndarray:
+    """LM states as an array: ints as an int array, anything else as objects."""
+    if all(type(s) is int for s in states):
+        return np.array(states, dtype=np.intp)
+    return np.fromiter(states, dtype=object, count=len(states))
+
+
+def _merge_rows(beam: Beam) -> tuple[list[int], list[int]]:
+    """Rows j and i of the hypotheses whose prefix is another's, i's, plus
+    one character.  They pair by the hash of j's prefix without its last
+    character; each pair is then checked on the nodes and tails, so a hash
+    collision cannot merge two different prefixes."""
+    hashes = beam._hash.tolist()
+    row_of = dict(zip(hashes, range(len(hashes))))
+    if len(row_of) < len(hashes):  # two prefixes share a hash: match by string
+        prefixes = [beam._prefix(r) for r in range(len(hashes))]
+        row_of = {p: r for r, p in enumerate(prefixes)}
+        pairs = [(j, row_of.get(p[:-1])) for j, p in enumerate(prefixes) if p]
+        return [j for j, i in pairs if i is not None], [i for _, i in pairs if i is not None]
+    nodes, tails = beam._node.tolist(), beam._tail.tolist()
+    js, parents = [], []
+    for j, i in enumerate(map(row_of.get, beam._parent_hash.tolist())):
+        if i is None:
+            continue
+        node, tail, parent_tail = nodes[j], tails[j], tails[i]
+        if not tail:  # j is the empty prefix, or its last character closed a chunk
+            if node is None:
+                continue
+            node, tail = node
+        if (len(tail) == len(parent_tail) + 1 and tail.startswith(parent_tail)
+                and (node is nodes[i] or node == nodes[i])):
+            js.append(j)
+            parents.append(i)
+    return js, parents
 
 
 def beam_init(alphabet: Alphabet, config: BeamConfig, lm: CharLm | None = None) -> Beam:
     """Single empty-prefix hypothesis with all mass in the blank bucket."""
-    lm = lm if lm is not None else UniformLm(alphabet.symbols)
-    hyp = Hypothesis("", 0.0, NEG_INF, lm.initial_state(), 0.0)
-    return Beam(alphabet, (hyp,), 0)
+    lm = lm if lm is not None else _uniform_lm(alphabet.symbols)
+    return Beam(alphabet, (Hypothesis("", 0.0, NEG_INF, lm.initial_state(), 0.0),), 0)
 
 
 def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -> Beam:
     """Advance the beam by one emission row and prune back to the width."""
     alphabet = beam.alphabet
-    lm = lm if lm is not None else UniformLm(alphabet.symbols)
+    symbols = alphabet.symbols
+    lm = lm if lm is not None else _uniform_lm(symbols)
     row = np.asarray(frame, dtype=np.float64)
     if row.shape != (alphabet.size,):
         raise ValidationError(
             f"emission row has shape {row.shape}, expected ({alphabet.size},)"
         )
     check_rows(row)
+    n, m = len(beam), len(symbols)
+    if not n:
+        raise ValidationError(_COLLAPSED)
     with np.errstate(divide="ignore"):
-        log_row = np.log(row)
-    symbols = alphabet.symbols
-    lm_index = [lm.index_of(c) for c in symbols]
-    alpha, beta = config.alpha, config.beta
-    blank_lp = float(log_row[alphabet.blank_index])
-    char_lp = log_row[: len(symbols)]
-    char_lp_list = char_lp.tolist()
-    sym_index = alphabet._index
-    hyps = beam.hypotheses
-    n, m = len(hyps), len(symbols)
+        char_lp = np.log(row)
+    blank_lp = float(char_lp[m])
+    # Column m stands for the empty prefix's missing final character: -inf,
+    # so the extension grid needs no mask.
+    char_lp[m] = NEG_INF
+    pb, pnb, total, last, length = beam._pb, beam._pnb, beam._total, beam._last, beam._length
 
-    # One pass over the hypotheses: the stay buckets (blank, and the final
-    # character repeated), each extension's base and each LM row.
-    stay_pb, stay_pnb, totals, lm_rows, denoms = [], [], [], [], []
-    last_rows, last_cols, last_pb = [], [], []
-    merges = []  # (stay row, parent row, column): an extension that is a stay
-    row_of = {hyp.prefix: i for i, hyp in enumerate(hyps)}
-    for i, hyp in enumerate(hyps):
-        s = hyp.prefix
-        pb, pnb = hyp.log_pb, hyp.log_pnb
-        total = log_add(pb, pnb)
-        totals.append(total)
-        stay_pb.append(blank_lp + total)
-        rep = NEG_INF
-        if s:
-            j = sym_index[s[-1]]
-            last_rows.append(i)
-            last_cols.append(j)
-            last_pb.append(pb)
-            if pnb != NEG_INF:
-                rep = char_lp_list[j] + pnb
-            parent = row_of.get(s[:-1])
-            if parent is not None:
-                merges.append((i, parent, j))
-        stay_pnb.append(rep)
-        lm_rows.append(lm.next_log_probs(hyp.lm_state))
-        denoms.append((len(s) + 1) ** beta)
+    # LM rows in alphabet order, end of sentence in column m
+    lm_lp = lm.next_log_probs_many(beam._state)
+    lm_cols = None
+    if lm.symbols != symbols:
+        lm_cols = np.array([lm.index_of(c) for c in symbols] + [len(lm.symbols)])
+        lm_lp = lm_lp[:, lm_cols]
+    check_log_rows(lm_lp, "LM")
 
+    # Candidate k of the (n, m + 2) grid is hypothesis k // (m + 2)
+    # extended by character k % (m + 2), or kept as it is in column m + 1.
     # p(s + c) = (p_char(c) + base) + alpha * log p_LM(c | s), where the base
     # is the total mass, or only the blank bucket when c repeats the last.
-    base = np.repeat(np.array(totals)[:, None], m, axis=1)
-    base[last_rows, last_cols] = last_pb
-    ext = char_lp + base
-    lm_lp = np.array(lm_rows)[:, lm_index]
-    if alpha:
-        ext += alpha * lm_lp
-    for i, parent, j in merges:
-        stay_pnb[i] = log_add(stay_pnb[i], float(ext[parent, j]))
-        ext[parent, j] = NEG_INF
+    grid = np.empty((n, m + 2))
+    ext = grid[:, :m + 1]
+    np.add(char_lp, total[:, None], out=ext)
+    repeat = char_lp[last]
+    rows = np.arange(n)
+    ext[rows, last] = repeat + pb
+    if config.alpha:
+        ext += config.alpha * lm_lp
+    stay_pb = blank_lp + total
+    stay_pnb = repeat + pnb
+    js, parents = _merge_rows(beam)
+    if js:  # s + c is already the hypothesis s': merge it into s'
+        cols = last[js]
+        stay_pnb[js] = list(map(log_add, stay_pnb[js].tolist(), ext[parents, cols].tolist()))
+        ext[parents, cols] = NEG_INF
+    grid[:, m + 1] = stay_total = _log_add_many(stay_pb, stay_pnb)
 
-    stay_scores = [normalized_score(log_add(pb, pnb), len(hyp.prefix), beta)
-                   for hyp, pb, pnb in zip(hyps, stay_pb, stay_pnb)]
-    ext_scores = ext if beta == 0.0 else ext / np.array(denoms)[:, None]
-    scores = np.concatenate((stay_scores, ext_scores.ravel()))
+    scores = grid
+    powers = beam._powers
+    if config.beta:
+        known = powers[1] if powers is not None and powers[0] == config.beta else None
+        stay_den, ext_den, table = _denominators(config.beta, length, known)
+        if table is not known:  # kept by the input beam too, which may be stepped again
+            beam._powers = powers = (config.beta, table)
+        scores = grid / ext_den[:, None]
+        scores[:, m + 1] = stay_total / stay_den
+    scores = scores.ravel()
+    alive = int(np.count_nonzero(scores > NEG_INF))
+    if not alive:  # zero-probability prefixes are dropped
+        raise ValidationError(_COLLAPSED)
 
     def prefixes_of(ks: list[int]) -> list[str]:
-        return [hyps[k].prefix if k < n else hyps[(k - n) // m].prefix + symbols[(k - n) % m]
+        """Keys that order as the prefixes of candidates ``ks`` do; tied
+        candidates are mostly extensions of a few hypotheses."""
+        rows = list(dict.fromkeys(k // (m + 2) for k in ks))
+        head = dict(zip(rows, _spell_apart(beam, rows)))
+        return [head[k // (m + 2)] + (symbols[k % (m + 2)] if k % (m + 2) < m else "")
                 for k in ks]
 
-    out = []
-    for neg, prefix, k in ranked_cut(scores, config.width, prefixes_of):
-        if neg == math.inf:
-            break  # zero-probability prefixes rank last and are dropped
-        if k < n:
-            hyp = hyps[k]
-            out.append(Hypothesis(prefix, stay_pb[k], stay_pnb[k], hyp.lm_state, hyp.lm_logprob))
-        else:
-            i, j = divmod(k - n, m)
-            hyp = hyps[i]
-            out.append(Hypothesis(prefix, NEG_INF, float(ext[i, j]),
-                                  lm.advance(hyp.lm_state, symbols[j]),
-                                  hyp.lm_logprob + float(lm_lp[i, j])))
-    if not out:
-        raise ValidationError("beam collapsed: the emission row assigns no mass "
-                              "to any reachable prefix")
-    return Beam(alphabet, tuple(out), beam.frame_index + 1)
+    ks = ranked_cut(scores, min(config.width, alive), prefixes_of)
+
+    src, col = np.divmod(ks, m + 2)
+    x = (col < m).nonzero()[0]  # the extensions among the survivors
+    sx, cx = src[x], col[x]
+    out_total = grid.ravel()[ks]
+    out_pb, out_pnb = stay_pb[src], stay_pnb[src]
+    out_pb[x] = NEG_INF
+    out_pnb[x] = out_total[x]
+    out_lm = beam._lm_logprob[src]
+    out_lm[x] += lm_lp[sx, cx]
+    out_last, out_length = last[src], length[src]
+    out_last[x] = cx
+    out_length[x] += 1
+    out_hash, out_parent_hash = beam._hash[src], beam._parent_hash[src]
+    out_parent_hash[x] = out_hash[x]
+    char_objects, digits = _symbol_arrays(symbols)
+    out_hash[x] = out_hash[x] * np.uint64(_HASH_MUL) + digits[cx]
+    state, node, tail = beam._state[src], beam._node[src], beam._tail[src]
+    if x.size:
+        state[x] = lm.advance_many(state[x], cx if lm_cols is None else lm_cols[cx])
+        grown = list(map(operator.add, tail[x], char_objects[cx]))
+        if _CHUNK in map(len, grown):  # a full chunk becomes a node
+            for f, text in enumerate(grown):
+                if len(text) == _CHUNK:
+                    node[x[f]] = (node[x[f]], text)
+                    grown[f] = ""
+        tail[x] = np.fromiter(grown, dtype=object, count=len(grown))
+    out = Beam.__new__(Beam)._set(
+        alphabet, beam.frame_index + 1, out_pb, out_pnb, out_total, out_lm, out_last,
+        out_length, out_hash, out_parent_hash, state, node, tail)
+    out._powers = powers
+    return out
 
 
 def beam_decode_rows(
@@ -218,12 +485,11 @@ def beam_decode_rows(
     the best transcript and its length-normalized log score.  No rows decode
     to ("", 0.0)."""
     config = config if config is not None else BeamConfig()
-    lm = lm if lm is not None else UniformLm(alphabet.symbols)
+    lm = lm if lm is not None else _uniform_lm(alphabet.symbols)
     beam = beam_init(alphabet, config, lm)
     for row in rows:
         beam = beam_step(beam, row, config, lm)
-    best = beam.best
-    return best.prefix, normalized_score(best.log_prob, len(best.prefix), config.beta)
+    return beam._prefix(0), beam._score(0, config.beta)
 
 
 def beam_decode(

@@ -83,19 +83,23 @@ def _stream_records(args, parser, stdin, stdout) -> int:
     header = stdin.readline()
     if not header:
         raise ParseError("missing header line on standard input", line=1)
-    alphabet, _ = parse_emissions_header(header)
+    alphabet, frames = parse_emissions_header(header)
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
     decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm)
-    skip = args.start_frame
+    # rows skipped by --start-frame count as read; a stream may end early
+    rows_read = 0
     lineno = 1
     for raw in iter(stdin.readline, ""):
         lineno += 1
         line = raw.rstrip("\n")
         if not line:
             continue
-        if skip > 0:
-            skip -= 1
+        rows_read += 1
+        if rows_read > frames:
+            raise ParseError(f"header declares {frames} frames but row {rows_read} follows",
+                             line=lineno)
+        if rows_read <= args.start_frame:
             continue
         row = parse_emission_row(line, alphabet.size, lineno)
         out = decoder.push(row)

@@ -77,9 +77,15 @@ def check_rows(probs: np.ndarray, where: str = "emission row") -> None:
 
     The comparisons are written so that NaN fails them.  ``probs`` must not be
     empty.  Messages name the bad row as ``where``, plus its index for 2-D.
+    A single row, the streaming case, costs one min, one max and one sum.
     """
     if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ValidationError(f"{where} entries must be finite and lie in [0, 1]")
+    if probs.ndim == 1:
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
+            raise ValidationError(f"{where} sums to {total!r}, expected 1")
+        return
     sums = np.atleast_1d(probs.sum(axis=-1))
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
     if bad.size:

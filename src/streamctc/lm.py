@@ -8,13 +8,18 @@ beams can share states safely.
 The n-gram implementation uses add-k smoothing and backs off to a shorter
 context only when a context was never seen in training, which keeps every
 score finite.  Its log-probability table is built whole at construction
-and fixed from then on: scoring is a backoff walk and a dict lookup.
+and fixed from then on.  Its states are the ints of a goto/failure
+automaton over the stored contexts, built at first use: advancing and
+scoring are two array reads each, and the batched methods read the rows
+and successors of many states with two fancy indexes each.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import sys
 from typing import Iterable
 
@@ -36,6 +41,8 @@ class CharLm:
     Subclasses implement :meth:`initial_state`, :meth:`next_log_probs` and
     :meth:`advance`.  The distribution returned by ``next_log_probs`` covers
     ``symbols`` in order followed by the end-of-sentence token, and sums to 1.
+    The batched :meth:`next_log_probs_many` and :meth:`advance_many` loop
+    over those by default; a subclass may answer them faster.
     """
 
     def __init__(self, symbols: str):
@@ -46,6 +53,7 @@ class CharLm:
             raise ValidationError("alphabet characters must be distinct")
         self.symbols = symbols
         self._index = {c: i for i, c in enumerate(symbols)}
+        self._tokens = [*symbols, EOS]
 
     @property
     def vocab_size(self) -> int:
@@ -71,6 +79,19 @@ class CharLm:
     def advance(self, state, ch: str):
         """Successor state for the prefix extended by ``ch``."""
         raise NotImplementedError
+
+    def next_log_probs_many(self, states) -> np.ndarray:
+        """The rows of :meth:`next_log_probs` for a sequence of states, as
+        one (len(states), vocab_size) array."""
+        rows = [self.next_log_probs(state) for state in states]
+        return np.array(rows).reshape(len(rows), self.vocab_size)
+
+    def advance_many(self, states, tokens) -> np.ndarray:
+        """The successor of ``states[i]`` by token ``tokens[i]``, a column
+        of :meth:`next_log_probs` (EOS is the last), for every i, as a 1-D
+        array that ``states`` can be indexed like."""
+        chars = [self._tokens[t] for t in np.asarray(tokens).tolist()]
+        return np.fromiter(map(self.advance, states, chars), dtype=object, count=len(chars))
 
     def log_prob(self, state, ch: str) -> float:
         return float(self.next_log_probs(state)[self.index_of(ch)])
@@ -109,19 +130,31 @@ class UniformLm(CharLm):
         self.index_of(ch)
         return None
 
+    def next_log_probs_many(self, states) -> np.ndarray:
+        return np.broadcast_to(self._vec, (len(states), self.vocab_size))
+
+    def advance_many(self, states, tokens) -> np.ndarray:
+        return np.full(len(tokens), None, dtype=object)
+
 
 class NgramLm(CharLm):
     """Add-k smoothed character n-gram model.
 
     ``counts`` maps context tuples (length < order, visible characters only)
     to next-token counts; next tokens are single characters or :data:`EOS`.
-    A state is the tuple of up to ``order - 1`` most recent tokens; scoring
-    uses the longest stored suffix of the state, dropping leading tokens only
-    while the context is entirely unseen.
+    Scoring after a history uses the longest stored suffix of its last
+    ``order - 1`` tokens, dropping leading tokens only while the context is
+    entirely unseen.
+
+    A state is an opaque int: the longest suffix of the history that is a
+    prefix of some stored context (the minimal state that still decides
+    every later row).  It moves by one lookup in a successor table, EOS
+    included, and its row is the row of its longest stored suffix.
 
     The constructor checks every entry once and builds the whole table, one
-    read-only log-probability row per stored context; nothing changes after
-    that, so instances may be shared across threads.
+    read-only log-probability row per stored context; the automaton is built
+    at first use.  Nothing changes after that, so instances may be shared
+    across threads.
     """
 
     def __init__(self, symbols: str, order: int, k: float,
@@ -146,23 +179,28 @@ class NgramLm(CharLm):
         self._fill(list(counts), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                    values)
         self._counts = counts
+        # a context with a token outside the alphabet is never reached
+        self._contexts = ["".join(ctx) if self._index.keys() >= set(ctx) else None
+                          for ctx in counts]
 
     @classmethod
     def _from_columns(cls, symbols: str, order: int, k: float,
-                      contexts: list[tuple[str, ...]], rows: np.ndarray, cols: np.ndarray,
+                      contexts: list[str], rows: np.ndarray, cols: np.ndarray,
                       counts: list[int]) -> "NgramLm":
-        """The model whose entry j gives context ``contexts[rows[j]]`` and
-        token column ``cols[j]`` the count ``counts[j]``.  The reader has
-        checked the entries: tokens in the alphabet, counts positive, no
-        duplicates, the empty context present."""
+        """The model whose entry j gives context ``contexts[rows[j]]``, a
+        string of characters, and token column ``cols[j]`` the count
+        ``counts[j]``.  The reader has checked the entries: contexts and
+        tokens in the alphabet, counts positive, no duplicates, the empty
+        context present."""
         lm = cls.__new__(cls)
         CharLm.__init__(lm, symbols)
         lm._set_order_and_k(order, k)
         if max(map(len, contexts)) >= order:  # name the first, as the constructor does
             for ctx in contexts:
-                lm._check_context(ctx)
+                lm._check_context(tuple(ctx))
         lm._fill(contexts, rows, cols, counts)
         lm._entries = (contexts, rows, cols, counts)
+        lm._contexts = contexts
         return lm
 
     def _set_order_and_k(self, order: int, k: float) -> None:
@@ -195,7 +233,7 @@ class NgramLm(CharLm):
         denoms = totals + self.k * self.vocab_size
         overflow = np.flatnonzero(denoms == math.inf)
         if overflow.size:
-            raise ValidationError(f"counts for context {contexts[overflow[0]]!r} "
+            raise ValidationError(f"counts for context {tuple(contexts[overflow[0]])!r} "
                                   f"plus k * {self.vocab_size} overflow a float")
         log_denoms = np.array(list(map(math.log, denoms.tolist())))
         table = np.full((len(contexts), self.vocab_size), self.k)
@@ -203,35 +241,96 @@ class NgramLm(CharLm):
         np.log(table, out=table)
         table -= log_denoms[:, None]
         table.flags.writeable = False
-        self._rows = dict(zip(contexts, table))
+        self._table = table
+
+    @functools.cached_property
+    def _automaton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(succ, hop, row_of)`` over P, the stored contexts that use only
+        alphabet characters (no other is reachable) and all their prefixes.
+
+        State i < len(table) is the context of table row i, so the initial
+        state needs no build; the prefixes not stored come after.
+        The next state after ``s`` and token ``c``, the longest suffix of
+        ``s + c`` in P, is ``succ[hop[s], c]``, and ``row_of[s]`` is the
+        table row of the longest stored suffix of ``s``.  Both follow, depth
+        by depth, from the failure link ``fail[s]``, the longest proper
+        suffix of ``s`` in P, as in Aho and Corasick's construction: a stored
+        suffix of ``h + c`` is ``x + c`` with ``x`` a suffix of ``h`` in P,
+        so the state of ``h`` decides every later row.  A state with no
+        longer state in P moves as its failure link does, so ``succ`` holds
+        rows only for the others, and ``hop`` points a state to its row.
+        """
+        stored = len(self._contexts)
+        state_of = dict(zip(self._contexts, range(stored)))
+        states = list(self._contexts)
+        if None in state_of:  # never reached: parked at depth 0, with no children
+            del state_of[None]
+            states = [ctx or "" for ctx in states]
+        empty = self.initial_state()
+        cut = operator.itemgetter(slice(None, -1))
+        parents = list(map(cut, states))
+        missing = set(parents).difference(state_of)
+        while missing:  # close P under prefixes
+            new = sorted(missing)
+            state_of.update(zip(new, range(len(states), len(states) + len(new))))
+            states += new
+            parents += map(cut, new)
+            missing = set(map(cut, new)).difference(state_of)
+        size = len(states)
+        parent = np.fromiter(map(state_of.__getitem__, parents), dtype=np.intp, count=size)
+        depth = np.fromiter(map(len, states), dtype=np.intp, count=size)
+        last_chars = map(operator.itemgetter(slice(-1, None)), states)
+        token = np.fromiter(map(self._index.get, last_chars, itertools.repeat(0)),
+                            dtype=np.intp, count=size)
+        row_of = np.arange(size)
+        row_of[stored:] = -1
+
+        inner = np.zeros(size, dtype=bool)  # states with a longer state in P
+        inner[parent] = True
+        hop = np.cumsum(inner) - 1
+        succ = np.full((int(inner.sum()), self.vocab_size), empty)
+        fail = np.full(size, empty)
+        for d in range(1, int(depth.max()) + 1):
+            kids = (depth == d).nonzero()[0]
+            if d > 1:  # depth 1 fails to the empty context
+                fail[kids] = succ[hop[fail[parent[kids]]], token[kids]]
+            succ[hop[parent[kids]], token[kids]] = kids  # the parents' own edges
+            leaves = kids[~inner[kids]]
+            hop[leaves] = hop[fail[leaves]]
+            branches = kids[inner[kids]]
+            succ[hop[branches]] = succ[hop[fail[branches]]]
+            row_of[kids] = np.where(row_of[kids] >= 0, row_of[kids], row_of[fail[kids]])
+        for table in (succ, hop, row_of):
+            table.flags.writeable = False
+        return succ, hop, row_of
 
     @functools.cached_property
     def _counts(self) -> dict[tuple[str, ...], dict[str, int]]:
         """``{context: {token: count}}`` in file order, built when first read
         (by :func:`save_ngram`) for a model loaded from a file."""
         contexts, rows, cols, counts = self._entries
-        tokens = [*self.symbols, EOS]
-        out: dict[tuple[str, ...], dict[str, int]] = {ctx: {} for ctx in contexts}
+        keys = list(map(tuple, contexts))
+        out: dict[tuple[str, ...], dict[str, int]] = {ctx: {} for ctx in keys}
         for r, c, count in zip(rows.tolist(), cols.tolist(), counts):
-            out[contexts[r]][tokens[c]] = count
+            out[keys[r]][self._tokens[c]] = count
         return out
 
-    def initial_state(self):
-        return ()
+    def initial_state(self) -> int:
+        return self._contexts.index("")
 
-    def advance(self, state, ch: str):
-        self.index_of(ch)
-        if self.order == 1:
-            return ()
-        return (tuple(state) + (ch,))[-(self.order - 1):]
+    def advance(self, state, ch: str) -> int:
+        succ, hop, _ = self._automaton
+        return int(succ[hop[state], self.index_of(ch)])
 
     def next_log_probs(self, state) -> np.ndarray:
-        ctx = tuple(state)
-        row = self._rows.get(ctx)
-        while row is None:  # back off; the empty context is always stored
-            ctx = ctx[1:]
-            row = self._rows.get(ctx)
-        return row
+        return self._table[self._automaton[2][operator.index(state)]]
+
+    def next_log_probs_many(self, states) -> np.ndarray:
+        return self._table[self._automaton[2][np.asarray(states, dtype=np.intp)]]
+
+    def advance_many(self, states, tokens) -> np.ndarray:
+        succ, hop, _ = self._automaton
+        return succ[hop[np.asarray(states, dtype=np.intp)], tokens]
 
     def save(self, sink) -> None:
         save_ngram(self, sink)
@@ -239,6 +338,13 @@ class NgramLm(CharLm):
     @classmethod
     def load(cls, source) -> "NgramLm":
         return load_ngram(source)
+
+
+def check_log_rows(rows: np.ndarray, source: str) -> None:
+    """Raise ValidationError if a block of log-probability rows holds NaN or
+    an entry above 0: one max, which NaN fails."""
+    if not rows.max() <= 0.0:
+        raise ValidationError(f"{source} row holds NaN or a log-probability above 0")
 
 
 def normalize_corpus_line(line: str, symbols: str) -> str:
@@ -342,7 +448,7 @@ def _ngram_entries(lines: list[str], symbols: str):
     cols = np.fromiter(map(token_index.__getitem__, toks), dtype=np.intp, count=len(toks))
     if np.bincount(rows * (len(symbols) + 1) + cols).max() > 1:
         return None  # a duplicate entry
-    return list(map(tuple, contexts)), rows, cols, counts
+    return list(contexts), rows, cols, counts
 
 
 def _scan_ngram(lines: list[str], symbols: str) -> dict[tuple[str, ...], dict[str, int]]:

@@ -9,13 +9,13 @@ the final ranking.  Both probabilities include the end-of-sentence term, so
 fused scores are comparable across lengths; hypotheses still unfinished at
 ``max_length`` are force-finalized the same way.
 
-A step makes one Python pass over the at most W active hypotheses, which
-all have the same length L, for their scorer and LM rows.  numpy scores
-each active's end-of-sentence final over LP(L) and all W x |A| extensions
-over LP(L + 1) at once.  The kept finals and the extensions go through
-:func:`streamctc.beam.ranked_cut`, the CTC beam's cut: the W best by
-(-score, prefix, kind) survive.  Only the surviving extensions advance the
-scorer and the LM.
+A step reads the scorer and LM rows of the at most W active hypotheses,
+which all have the same length L, with one batched call each.  numpy
+scores each active's end-of-sentence final over LP(L) and all W x |A|
+extensions over LP(L + 1) at once.  The kept finals and the extensions go
+through :func:`streamctc.beam.ranked_cut`, the CTC beam's cut: the W best
+by (-score, prefix, kind) survive.  Only the surviving extensions advance
+the scorer and the LM, again in one batched call each.
 
 The search stops early, with the same result, once the best kept final
 scores strictly above (log p(y|x) + alpha * log p_LM(y)) / LP(max_length)
@@ -37,7 +37,7 @@ import numpy as np
 from .beam import ranked_cut
 from .errors import ParseError, ValidationError
 from .formats import entry_columns, first_line, header_fields, opened, scan_entries
-from .lm import EOS, CharLm, UniformLm
+from .lm import EOS, CharLm, UniformLm, check_log_rows
 
 S2SM_MAGIC = "S2SM v1"
 DIST_SUM_TOL = 1e-9
@@ -71,7 +71,8 @@ class TableScorer(CharLm):
 
     Prefixes not in the table fall back to a uniform distribution over the
     visible characters plus end-of-sentence, so the scorer is total.  States
-    are the prefix strings themselves.  Character LMs satisfy the same
+    are the prefix strings themselves, so :meth:`advance_many` is one
+    object-array concatenation.  Character LMs satisfy the same
     protocol and can stand in as scorers in tests.  The constructor builds
     every prefix's read-only log-probability row at once.
     """
@@ -110,6 +111,7 @@ class TableScorer(CharLm):
         return scorer
 
     def _set_rows(self, prefixes: list[str], probs: np.ndarray) -> None:
+        self._token_objects = np.array(self._tokens, dtype=object)
         self._uniform = np.full(self.vocab_size, -np.log(self.vocab_size))
         self._uniform.flags.writeable = False
         with np.errstate(divide="ignore"):
@@ -136,6 +138,9 @@ class TableScorer(CharLm):
 
     def advance(self, state, ch: str) -> str:
         return state + ch
+
+    def advance_many(self, states, tokens) -> np.ndarray:
+        return np.asarray(states, dtype=object) + self._token_objects[tokens]
 
     def save(self, sink) -> None:
         save_table_scorer(self, sink)
@@ -221,12 +226,6 @@ def _scan_table(lines: list[str]) -> dict[str, dict[str, float]]:
     return table
 
 
-def _check_log_rows(rows: np.ndarray, source: str) -> None:
-    # one max, which NaN fails: the early stop needs every entry <= 0
-    if not rows.max() <= 0.0:
-        raise ValidationError(f"{source} row holds NaN or a log-probability above 0")
-
-
 def s2s_decode(
     scorer, config: S2SConfig | None = None, lm: CharLm | None = None
 ) -> tuple[str, float]:
@@ -239,32 +238,30 @@ def s2s_decode(
     symbols = scorer.symbols
     m = len(symbols)
     # LM columns in scorer order, end of sentence last, as in a scorer row
-    lm_index = [lm.index_of(c) for c in symbols] + [len(lm.symbols)]
+    lm_index = np.array([lm.index_of(c) for c in symbols] + [len(lm.symbols)])
     alpha, beta, width = config.alpha, config.beta, config.width
     ceiling = length_penalty(config.max_length, beta)
 
-    # actives: (prefix, scorer state, lm state, log p(y|x), log p_LM(y)), all
-    # of one length; finals: (-fused score, prefix), best first after a step
-    actives = [("", scorer.initial_state(), lm.initial_state(), 0.0, 0.0)]
+    # actives, all of one length: prefixes, scorer and LM states, and
+    # log p(y|x) and log p_LM(y); finals: (-fused score, prefix), best first
+    # after a step
+    prefixes = [""]
+    sc_states = np.fromiter([scorer.initial_state()], dtype=object, count=1)
+    lm_states = np.fromiter([lm.initial_state()], dtype=object, count=1)
+    base_sc = base_lm = np.zeros(1)
     finals: list[tuple[float, str]] = []
 
     for length in range(config.max_length + 1):
-        sc_rows, lm_rows, base_sc, base_lm = [], [], [], []
-        for _, ss, ls, lp_sc, lp_lm in actives:
-            sc_rows.append(scorer.next_log_probs(ss))
-            lm_rows.append(lm.next_log_probs(ls))
-            base_sc.append(lp_sc)
-            base_lm.append(lp_lm)
-        sc_rows = np.array(sc_rows)
-        lm_rows = np.array(lm_rows)[:, lm_index]
-        _check_log_rows(sc_rows, "scorer")
-        _check_log_rows(lm_rows, "LM")
-        sc = np.array(base_sc)[:, None] + sc_rows
-        lm_lp = np.array(base_lm)[:, None] + lm_rows
+        sc_rows = scorer.next_log_probs_many(sc_states)
+        lm_rows = lm.next_log_probs_many(lm_states)[:, lm_index]
+        check_log_rows(sc_rows, "scorer")
+        check_log_rows(lm_rows, "LM")
+        sc = base_sc[:, None] + sc_rows
+        lm_lp = base_lm[:, None] + lm_rows
         total = sc + alpha * lm_lp if alpha else sc
         # each active also ends here, with its end-of-sentence terms
         ends = (total[:, m] / length_penalty(length, beta)).tolist()
-        finals += [(-score, active[0]) for score, active in zip(ends, actives)]
+        finals += [(-score, prefix) for score, prefix in zip(ends, prefixes)]
         if length == config.max_length:
             break  # the length cap: everything still active is now final
 
@@ -273,24 +270,21 @@ def s2s_decode(
         scores = np.concatenate(([-neg for neg, _ in finals], ext.ravel()))
 
         def prefixes_of(ks: list[int]) -> list[str]:
-            return [finals[k][1] if k < nf else actives[(k - nf) // m][0] + symbols[(k - nf) % m]
+            return [finals[k][1] if k < nf else prefixes[(k - nf) // m] + symbols[(k - nf) % m]
                     for k in ks]
 
-        kept, survivors, bound = [], [], -np.inf
         # finals come first in k, so the cut sorts by (-score, prefix, kind)
-        for neg, prefix, k in ranked_cut(scores, width, prefixes_of):
-            if k < nf:
-                kept.append((neg, prefix))
-            else:
-                i, j = divmod(k - nf, m)
-                _, ss, ls, _, _ = actives[i]
-                c = symbols[j]
-                survivors.append((prefix, scorer.advance(ss, c), lm.advance(ls, c),
-                                  float(sc[i, j]), float(lm_lp[i, j])))
-                bound = max(bound, float(total[i, j]))
-        finals, actives = kept, survivors
+        ks = ranked_cut(scores, width, prefixes_of)
+        finals = [finals[k] for k in ks[ks < nf].tolist()]
+        rows, cols = np.divmod(ks[ks >= nf] - nf, m)
+        prefixes = [prefixes[i] + symbols[j] for i, j in zip(rows.tolist(), cols.tolist())]
+        if not prefixes:
+            break
+        sc_states = scorer.advance_many(sc_states[rows], cols)
+        lm_states = lm.advance_many(lm_states[rows], lm_index[cols])
+        base_sc, base_lm = sc[rows, cols], lm_lp[rows, cols]
         # No descendant of an active scores above bound / LP(max_length).
-        if not actives or (finals and -finals[0][0] > bound / ceiling):
+        if finals and -finals[0][0] > float(total[rows, cols].max()) / ceiling:
             break
 
     neg_score, prefix = min(finals)

@@ -9,6 +9,11 @@ lookahead by ``lag`` frames: the committed beam is the one from frame
 t - lag, kept in a window of the last ``lag + 1`` beams, and never changes
 for that frame.  Flushing commits the latest beam, so the final transcript
 is exactly the offline beam-search result.
+
+The beams in the window share their prefix nodes, and each spells only its
+best prefix, once, when a push first shows it; the committed prefix is then
+the one spelled ``lag`` pushes earlier.  The word completion starts from the
+best hypothesis's LM state.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .beam import Beam, BeamConfig, beam_init, beam_step, normalized_score
+from .beam import Beam, BeamConfig, beam_init, beam_step
 from .ctc import Alphabet
 from .errors import ValidationError
 from .lm import CharLm, UniformLm
@@ -81,7 +84,7 @@ def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = 16, state=None) -
     eos_index = len(lm.symbols)
     out: list[str] = []
     while len(out) < max_chars:
-        best = int(np.argmax(lm.next_log_probs(state)))
+        best = int(lm.next_log_probs(state).argmax())
         if best == eos_index:
             break
         ch = lm.symbols[best]
@@ -130,19 +133,19 @@ class StreamingDecoder:
         """Ingest one emission row with one beam step; returns the refreshed
         display state.  The committed prefix trails the hypothesis by ``lag``
         frames."""
-        self._beams.append(beam_step(self._beams[-1], frame, self.config, self.lm))
+        beam = beam_step(self._beams[-1], frame, self.config, self.lm)
+        self._beams.append(beam)
         self.frames_seen += 1
         self.beam_steps_last_push = 1
-        best = self._beams[-1].best
-        hypothesis = best.prefix
+        hypothesis = beam._prefix(0)
         return IncrementalOutput(
             frame_index=self.frames_seen,
-            committed=self._beams[0].best.prefix,
+            committed=self._beams[0]._prefix(0),
             hypothesis=hypothesis,
             completion=lm_complete_word(
-                hypothesis, self.lm, self.completion_chars, state=best.lm_state
+                hypothesis, self.lm, self.completion_chars, state=beam._state[0]
             ),
-            score=normalized_score(best.log_prob, len(hypothesis), self.config.beta),
+            score=beam._score(0, self.config.beta),
         )
 
     def flush(self) -> str:
@@ -151,13 +154,11 @@ class StreamingDecoder:
         latest = self._beams[-1]
         self._beams.clear()
         self._beams.append(latest)
-        return latest.best.prefix
+        return latest._prefix(0)
 
     def best_committed(self) -> tuple[str, float]:
-        best = self._beams[0].best
-        return best.prefix, normalized_score(
-            best.log_prob, len(best.prefix), self.config.beta
-        )
+        committed = self._beams[0]
+        return committed._prefix(0), committed._score(0, self.config.beta)
 
 
 def changes_per_frame(outputs: Sequence[IncrementalOutput | str]) -> float:

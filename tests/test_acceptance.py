@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from streamctc import (
     EOS,
     Alphabet,
+    Beam,
     BeamConfig,
     EmissionMatrix,
     S2SConfig,
@@ -28,6 +30,8 @@ from streamctc import (
     TableScorer,
     UniformLm,
     beam_decode,
+    beam_init,
+    beam_step,
     cer,
     confusion_matrix,
     edit_distance,
@@ -186,6 +190,51 @@ def test_bounded_streaming_latency():
         "bounded streaming latency",
         ratio <= 2.0,
         f"{short * 1e3:.2f} ms/frame @T=100 vs {long * 1e3:.2f} ms/frame @T=1000, "
+        f"ratio {ratio:.2f}",
+    )
+
+
+def test_step_cost_flat_in_transcript_length():
+    """A beam step at W=100 with a 3-gram LM costs the same whether its
+    prefixes are about 1k or about 10k characters long: the median of
+    interleaved steps of the two beams, on the same row, stays within 1.25x.
+    ``beam_step`` is pure, so each beam can be stepped again and again."""
+    rng = random.Random(3)
+    alphabet = Alphabet(MASTER_SYMBOLS)
+    words = ["".join(rng.choice(MASTER_SYMBOLS[:26]) for _ in range(rng.randrange(2, 8)))
+             for _ in range(60)]
+
+    def text(n_chars: int) -> str:
+        out = []
+        while sum(len(w) + 1 for w in out) < n_chars:
+            out.append(rng.choice(words))
+        return " ".join(out)
+
+    lm = train_ngram([text(300) for _ in range(40)], alphabet.symbols, order=3)
+    config = BeamConfig(width=100, alpha=0.5, beta=0.1)
+    em = simulate(text(1000), alphabet,
+                  SimConfig(peak_prob=0.6, frames_per_char=2.0, noise_seed=4))
+    short_beam = beam_init(alphabet, config, lm)
+    for row in em.probs:
+        short_beam = beam_step(short_beam, row, config, lm)
+    # 9000 more characters in front: an order-3 state depends on the last two
+    history = text(9000)
+    long_beam = Beam(alphabet, [replace(h, prefix=history + h.prefix)
+                                for h in short_beam.hypotheses], short_beam.frame_index)
+    assert len(long_beam.best.prefix) >= 10_000 and len(short_beam.best.prefix) >= 1_000
+    row = em.probs[len(em.probs) // 2]
+    times = {"short": [], "long": []}
+    for _ in range(40):
+        for name, beam in (("short", short_beam), ("long", long_beam)):
+            start = time.perf_counter()
+            beam_step(beam, row, config, lm)
+            times[name].append(time.perf_counter() - start)
+    short, long = (float(np.median(times[name])) for name in ("short", "long"))
+    ratio = long / short
+    _report(
+        "step cost flat in transcript length",
+        ratio <= 1.25,
+        f"{short * 1e3:.3f} ms/step @~1k chars vs {long * 1e3:.3f} ms/step @~10k chars, "
         f"ratio {ratio:.2f}",
     )
 

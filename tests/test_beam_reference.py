@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamctc.beam as beam_module
 from streamctc import (
     Alphabet,
+    Beam,
     BeamConfig,
     CharLm,
     EmissionMatrix,
+    Hypothesis,
     SimConfig,
     StreamingDecoder,
     ValidationError,
@@ -53,6 +56,19 @@ class NoALm(NoCLm):
     def next_log_probs(self, state):
         vec = np.full(self.vocab_size, -np.log(self.vocab_size - 1))
         vec[self.index_of("a")] = -np.inf
+        return vec
+
+
+class BadALm(NoCLm):
+    """Spreads its mass evenly but gives 'a' the log-probability ``value``."""
+
+    def __init__(self, symbols, value):
+        super().__init__(symbols)
+        self.value = value
+
+    def next_log_probs(self, state):
+        vec = np.full(self.vocab_size, -np.log(self.vocab_size))
+        vec[self.index_of("a")] = self.value
         return vec
 
 
@@ -154,11 +170,58 @@ class TestMatchesReference:
         seen = run_both(WIDE, em.probs, config, WIDE_LM if with_lm else None)
         assert len(seen) == em.num_frames
 
+    def test_lm_over_the_alphabet_in_another_order(self):
+        lm = train_ngram(["ab ba", "abc cab", "a b c"], " cba", order=3)
+        rows = [make_row("zeros", seed, SMALL.size) for seed in range(10)]
+        run_both(SMALL, rows, BeamConfig(width=8, alpha=0.5, beta=0.1), lm)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_lm_with_zero_probability_character(self, alpha):
         config = BeamConfig(width=8, alpha=alpha, beta=0.1)
         rows = [make_row("zeros", seed, SMALL.size) for seed in range(8)]
         run_both(SMALL, rows, config, NoCLm(SMALL.symbols))
+
+
+class TestPrefixNodes:
+    """Prefixes are chains of shared chunk nodes found again by a hash of the
+    prefix.  Chunks of one to three characters make every path through the
+    nodes run on short prefixes, and a hash multiplier of 1 (the hash is then
+    the sum of the character digits) makes anagrams collide, so a match by
+    hash must be checked and a beam may hold two equal hashes."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_beams_match_the_reference(self, monkeypatch, chunk, colliding):
+        monkeypatch.setattr(beam_module, "_CHUNK", chunk)
+        if colliding:
+            monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
+        for seed in range(4):
+            rows = [make_row(kind, seed * 31 + i, SMALL.size)
+                    for i, kind in enumerate(["zeros", "two-hot", "zeros", "uniform"] * 3)]
+            run_both(SMALL, rows, BeamConfig(width=8, alpha=0.5, beta=0.1), SMALL_LM)
+        # uniform rows: whole groups of prefixes tie and are ordered by spelling
+        uniform = [np.append(np.full(SMALL.size - 1, 1.0 / (SMALL.size - 1)), 0.0)]
+        run_both(SMALL, uniform + [np.full(SMALL.size, 1.0 / SMALL.size)] * 5,
+                 BeamConfig(width=8, alpha=0.0, beta=0.1), None)
+        em = simulate("the cat ate", WIDE, SimConfig(peak_prob=0.5, noise_seed=7))
+        seen = run_both(WIDE, em.probs, BeamConfig(width=100, alpha=0.5, beta=0.1), WIDE_LM)
+        # a beam rebuilt from its hypotheses steps to the same beam
+        beam, row = seen[-1], em.probs[-1]
+        config = BeamConfig(width=100, alpha=0.5, beta=0.1)
+        rebuilt = Beam(WIDE, beam.hypotheses, beam.frame_index)
+        assert snapshot(beam_step(rebuilt, row, config, WIDE_LM)) == \
+            snapshot(beam_step(beam, row, config, WIDE_LM))
+
+    def test_ties_between_prefixes_that_part_early(self, monkeypatch):
+        monkeypatch.setattr(beam_module, "_CHUNK", 1)
+        beam = Beam(SMALL, [Hypothesis(p, -1.0, -2.0, None, 0.0)
+                            for p in ("cab", "bca", "abc", "ca")])
+        config = BeamConfig(width=2, alpha=0.0, beta=0.0)
+        row = [0.1, 0.1, 0.1, 0.1, 0.6]
+        got = beam_step(beam, row, config)
+        assert snapshot(got) == snapshot(reference_beam_step(beam, row, config))
+        # "ca" + "b" merges into "cab"; "abc" and "bca" tie for the last place
+        assert [h.prefix for h in got.hypotheses] == ["cab", "abc"]
 
 
 class TestBeamCollapse:
@@ -179,6 +242,13 @@ class TestBeamCollapse:
                 step(beam, self.ROW, config, lm)
             assert str(exc.value) == self.COLLAPSED
 
+    def test_empty_beam_raises(self):
+        config = BeamConfig(width=2)
+        for step in (beam_step, reference_beam_step):
+            with pytest.raises(ValidationError) as exc:
+                step(Beam(self.AB, ()), [0.5, 0.25, 0.25], config)
+            assert str(exc.value) == self.COLLAPSED
+
     def test_beam_decode_raises(self):
         em = EmissionMatrix(self.AB, [[0.5, 0.25, 0.25], self.ROW])
         with pytest.raises(ValidationError) as exc:
@@ -193,3 +263,30 @@ class TestBeamCollapse:
             dec.push(self.ROW)
         assert str(exc.value) == self.COLLAPSED
         assert dec.frames_seen == 1
+
+
+class TestLmRowCheck:
+    """An LM row holding NaN or a log-probability above 0 is rejected once per
+    step, whatever the width: it is not pruned away by the cut at one width
+    and kept at another."""
+
+    AB = Alphabet("ab")
+    ROW = [0.4, 0.3, 0.3]
+    MESSAGE = "LM row holds NaN or a log-probability above 0"
+
+    @pytest.mark.parametrize("value", [np.nan, 0.5], ids=["nan", "positive"])
+    @pytest.mark.parametrize("width", [1, 2, 100])
+    def test_every_route_raises_the_same_error(self, width, value):
+        config = BeamConfig(width=width, alpha=0.5)
+        lm = BadALm(self.AB.symbols, value)
+        with pytest.raises(ValidationError) as exc:
+            beam_step(beam_init(self.AB, config, lm), self.ROW, config, lm)
+        assert str(exc.value) == self.MESSAGE
+        with pytest.raises(ValidationError) as exc:
+            beam_decode(EmissionMatrix(self.AB, [self.ROW]), config, lm)
+        assert str(exc.value) == self.MESSAGE
+        dec = StreamingDecoder(self.AB, config, lag=1, lm=lm)
+        with pytest.raises(ValidationError) as exc:
+            dec.push(self.ROW)
+        assert str(exc.value) == self.MESSAGE
+        assert dec.frames_seen == 0

@@ -240,6 +240,28 @@ class TestStream:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 2 and "error" in records[-1]
 
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_row_past_the_declared_frames_is_parse_exit(self, capsys, monkeypatch, start):
+        # rows skipped by --start-frame count as read
+        body = "CTCEM v1 2 3 ab-\n" + "0.2 0.3 0.5\n" * 3
+        code, out, err = run(capsys, ["stream", "--lag", "0", "--alpha", "0",
+                                      "--start-frame", str(start)],
+                             stdin_text=body, monkeypatch=monkeypatch)
+        assert code == 3
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3 - start
+        assert records[-1] == {"error": "line 4: header declares 2 frames but row 3 follows"}
+        assert "line 4" in err
+
+    def test_fewer_rows_than_declared_end_the_stream(self, capsys, monkeypatch):
+        # a live stream may stop early: its final record is still written
+        body = "CTCEM v1 5 3 ab-\n" + "0.2 0.3 0.5\n" * 2
+        code, out, _ = run(capsys, ["stream", "--lag", "0", "--alpha", "0"],
+                           stdin_text=body, monkeypatch=monkeypatch)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3 and records[-1]["final"] is True
+
     def test_missing_header(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["stream", "--alpha", "0"], stdin_text="",
                            monkeypatch=monkeypatch)

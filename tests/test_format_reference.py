@@ -39,6 +39,17 @@ def hexes(row):
     return [x.hex() for x in row.tolist()]
 
 
+def rows_along(model, tokens):
+    """The rows of ``model`` at its initial state and after each token of
+    ``tokens``, the states reached by ``advance``."""
+    state = model.initial_state()
+    rows = [hexes(model.next_log_probs(state))]
+    for tok in tokens:
+        state = model.advance(state, tok)
+        rows.append(hexes(model.next_log_probs(state)))
+    return rows
+
+
 @st.composite
 def nglm_texts(draw):
     symbols = draw(ALPHABETS)
@@ -82,17 +93,22 @@ class TestValidModels:
     @settings(max_examples=150, deadline=None)
     @given(nglm_texts(),
            st.lists(st.lists(st.sampled_from([*DEFAULT_ALPHABET, EOS]), max_size=4), max_size=10))
-    def test_ngram_rows_match_the_reference(self, text, states):
+    def test_ngram_rows_match_the_reference(self, text, walks):
         lm = load_ngram(io.StringIO(text))
         ref = reference_load_ngram(io.StringIO(text))
         built = NgramLm(ref.symbols, ref.order, ref.k, ref._counts)
         assert list(lm._counts) == list(ref._counts) and lm._counts == ref._counts
-        # every stored context, then states that back off to one
-        states = list(ref._counts) + [tuple(s) for s in states]
-        for state in states:
-            expected = hexes(ref.next_log_probs(state))
-            assert hexes(lm.next_log_probs(state)) == expected
-            assert hexes(built.next_log_probs(state)) == expected
+        # every stored context, reached by advance from the initial state
+        for ctx in ref._counts:
+            expected = hexes(ref.next_log_probs(ctx))
+            assert rows_along(lm, ctx)[-1] == expected
+            assert rows_along(built, ctx)[-1] == expected
+        # then walks whose states back off to one
+        for walk in walks:
+            walk = [tok for tok in walk if tok == EOS or tok in ref.symbols]
+            expected = rows_along(ref, walk)
+            assert rows_along(lm, walk) == expected
+            assert rows_along(built, walk) == expected
         first = saved(save_ngram, lm)
         assert first == saved(save_ngram, ref)
         assert saved(save_ngram, load_ngram(io.StringIO(first))) == first
@@ -116,13 +132,41 @@ class TestValidModels:
         counts = {(): {"a": 3, EOS: 2**60 + 1}, ("a",): {"b": 1}, ("z",): {"a": 0.5}}
         lm = NgramLm("ab", 2, 0.25, counts)
         ref = ReferenceNgramLm("ab", 2, 0.25, counts)
-        for state in [(), ("a",), ("z",), ("b",), ("a", "z")]:
-            assert hexes(lm.next_log_probs(state)) == hexes(ref.next_log_probs(state))
+        for walk in ["", "a", "b", "ab", "ba", "aab", ["a", EOS], ["b", EOS, "a"]]:
+            assert rows_along(lm, walk) == rows_along(ref, walk)
+        # ("z",) is outside the alphabet, so no walk reaches it: it is kept
+        # as counted and written back as it came
+        assert lm._counts == ref._counts == counts
+        assert saved(save_ngram, lm) == saved(save_ngram, ref)
         table = {"": {"a": 0.25, "b": 0.75}, "ab": {EOS: 1.0, "a": 0.0}}
         scorer = TableScorer("ab", table)
         ref_scorer = ReferenceTableScorer("ab", table)
         for prefix in ["", "ab", "b"]:
             assert hexes(scorer.next_log_probs(prefix)) == hexes(ref_scorer.next_log_probs(prefix))
+
+
+class TestAutomaton:
+    @settings(max_examples=300, deadline=None)
+    @given(nglm_texts(), st.data())
+    def test_states_follow_the_tuple_model(self, text, data):
+        """NgramLm's int states against the reference's tuple states: the same
+        row after every token of random walks over the alphabet and EOS, on
+        context sets that need be neither suffix- nor prefix-closed; and the
+        batched rows and successors equal the scalar ones."""
+        lm = load_ngram(io.StringIO(text))
+        ref = reference_load_ngram(io.StringIO(text))
+        tokens = st.sampled_from([*ref.symbols, EOS])
+        walks = data.draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=6))
+        for walk in walks:
+            assert rows_along(lm, walk) == rows_along(ref, walk)
+        states = [lm.initial_state()] * len(walks)
+        for step in range(max(map(len, walks))):
+            cols = [lm.index_of(walk[step]) if step < len(walk) else 0 for walk in walks]
+            after = lm.advance_many(states, cols).tolist()
+            assert after == [lm.advance(s, lm._tokens[c]) for s, c in zip(states, cols)]
+            states = after
+            rows = lm.next_log_probs_many(states)
+            assert [hexes(r) for r in rows] == [hexes(lm.next_log_probs(s)) for s in states]
 
 
 def outcome(load, text):
@@ -131,8 +175,9 @@ def outcome(load, text):
         model = load(io.StringIO(text))
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    keys = model._counts if hasattr(model, "order") else model._table
-    return "ok", [hexes(model.next_log_probs(key)) for key in keys]
+    if hasattr(model, "order"):
+        return "ok", [rows_along(model, ctx)[-1] for ctx in model._counts]
+    return "ok", [hexes(model.next_log_probs(key)) for key in model._table]
 
 
 @st.composite

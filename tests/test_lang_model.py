@@ -257,7 +257,7 @@ class TestConstruction:
         lm = NgramLm("ab", 1, 1.0, {(): {"a": 2**53 + 1, "b": 2**53 + 1}})
         denom = (2**54 + 2) + 3.0
         expected = math.log(1.0 + (2**53 + 1)) - math.log(denom)
-        assert lm.next_log_probs(())[0] == expected
+        assert lm.next_log_probs(lm.initial_state())[0] == expected
 
     def test_advance_past_eos_falls_back(self):
         lm = train_ngram(["ab"], "ab", order=2)
