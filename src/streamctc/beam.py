@@ -32,11 +32,13 @@ checks each pair on the nodes.  The other is ``math``'s log-add for the
 merged pairs and for the hypotheses whose two buckets are both finite
 (numpy's ``exp`` and ``log1p`` differ from ``math``'s in the last bit).
 :func:`ranked_cut`, shared with the seq2seq search in ``s2s.py``, keeps
-the W best by (-score, prefix): it sorts by score in numpy and spells
-prefixes only for entries that tie exactly, and then only the chunks where
-they part.  Only the W survivors advance the LM, in one batched call.
-Prefix strings are spelled for outputs: :attr:`Beam.hypotheses` and
-:attr:`Beam.best` are views built on demand.
+the W best by (-score, prefix) as a set with the best first: it partitions
+the scores in numpy and spells prefixes only for the entries that tie
+exactly at the W-th score when not all of them fit, or that tie for the
+best, and then only the chunks where they part.  Only the W survivors
+advance the LM, in one batched call.  Prefix strings are spelled for
+outputs: :attr:`Beam.best` is row 0, and :attr:`Beam.hypotheses` gives
+the hypotheses in (-score, prefix) order, sorted when first read.
 
 ``beam_step`` is pure: nothing the input beam holds changes (it may keep a
 table of length powers for the next step), so independent decodes can share
@@ -110,27 +112,37 @@ def _denominators(beta: float, length: np.ndarray, table: np.ndarray | None):
         return table[length], table[length + 1], table
 
 
+def _prefix_order(ks: np.ndarray, prefixes_of) -> list[int]:
+    """The positions in ``ks`` of its entries ordered by (prefix, k)."""
+    keys = list(zip(prefixes_of(ks.tolist()), ks.tolist()))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> np.ndarray:
-    """The entries k of the ``width`` best ``scores``, best first, ordered by
-    (-score, prefix, k).  Scores are sorted in numpy; only entries that tie
-    exactly with another among the kept or across the cut are ordered by
-    prefix, through ``prefixes_of(ks)``: strings that order as the prefixes
-    of the entries ``ks`` do."""
-    kth = np.partition(scores, -width)[-width] if scores.size > width else NEG_INF
-    order = (scores >= kth).nonzero()[0]
-    order = order[np.argsort(scores[order])[::-1]]
-    ranked = scores[order[:width + 1]]
-    if (ranked[1:] == ranked[:-1]).any():  # ties among the kept or across the cut
-        order = order[:np.count_nonzero(scores >= ranked[min(width, ranked.size) - 1])]
-        ranked = scores[order]
-        starts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()]
-        for a, b in zip(starts, starts[1:] + [order.size]):
-            if a >= width:
-                break
-            if b - a > 1:
-                ks = order[a:b].tolist()
-                order[a:b] = [k for _, k in sorted(zip(prefixes_of(ks), ks))]
-    return order[:width]
+    """The entries k of the ``width`` best ``scores`` by (-score, prefix, k):
+    the best of them first, the rest in no fixed order.  Prefixes decide
+    only two things, through ``prefixes_of(ks)`` (strings that order as the
+    prefixes of the entries ``ks`` do): which entries equal to the
+    width-th best score are kept, when not all of them fit, and which entry
+    is first, when more than one ties for the best score."""
+    if scores.size > width:
+        kth = np.partition(scores, -width)[-width]
+        kept = (scores >= kth).nonzero()[0]
+        if kept.size > width:  # the entries equal to the width-th score do not all fit
+            at = scores[kept] == kth
+            above, tied = kept[~at], kept[at]
+            tied = tied[_prefix_order(tied, prefixes_of)[:width - above.size]]
+            if not above.size:  # all kept tie for the best, and are in order
+                return tied
+            kept = np.concatenate((above, tied))
+    else:
+        kept = np.arange(scores.size)
+    ranked = scores[kept]
+    top = (ranked == ranked.max()).nonzero()[0]
+    first = top[0] if top.size == 1 else top[_prefix_order(kept[top], prefixes_of)[0]]
+    if first:
+        kept[0], kept[first] = kept[first], kept[0]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -208,17 +220,20 @@ def _uniform_lm(symbols: str) -> UniformLm:
 
 
 class Beam:
-    """Hypotheses for one frame, with distinct prefixes, sorted by pruning
-    score descending.
+    """Hypotheses for one frame, with distinct prefixes, the best first.
 
     ``Beam(alphabet, hypotheses, frame_index)`` builds a beam from
-    :class:`Hypothesis` values; :func:`beam_step` builds its beams from
-    arrays.  :attr:`hypotheses` and :attr:`best` are views built on demand.
+    :class:`Hypothesis` values and keeps their order.  :func:`beam_step`
+    builds its beams from arrays, with the best hypothesis by (-pruning
+    score, prefix) in row 0 and the rest in no fixed order, and keeps each
+    row's pruning score.  :attr:`hypotheses` and :attr:`best` are views
+    built on demand; :attr:`hypotheses` gives a stepped beam's hypotheses
+    in (-pruning score, prefix) order.
     """
 
     __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
                  "_last", "_length", "_hash", "_parent_hash", "_state", "_node",
-                 "_tail", "_view", "_best_prefix", "_powers")
+                 "_tail", "_view", "_best_prefix", "_powers", "_scores")
 
     def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
                  frame_index: int = 0):
@@ -264,7 +279,7 @@ class Beam:
         self._last, self._length = last, length
         self._hash, self._parent_hash = digest, parent_digest
         self._state, self._node, self._tail = state, node, tail
-        self._view = self._best_prefix = self._powers = None
+        self._view = self._best_prefix = self._powers = self._scores = None
         return self
 
     @property
@@ -310,7 +325,8 @@ class Beam:
 
 
 class _HypothesisView(Sequence):
-    """The hypotheses of a beam, spelled out when first read."""
+    """The hypotheses of a beam, spelled out when first read, and ordered by
+    (-score, prefix) when the beam keeps its rows' scores."""
 
     __slots__ = ("_beam", "_items")
 
@@ -323,7 +339,12 @@ class _HypothesisView(Sequence):
 
     def __getitem__(self, i):
         if self._items is None:
-            self._items = tuple(map(self._beam._hypothesis, range(len(self._beam))))
+            beam = self._beam
+            items = list(map(beam._hypothesis, range(len(beam))))
+            if beam._scores is not None:
+                keys = list(zip((-s for s in beam._scores.tolist()), (h.prefix for h in items)))
+                items = [items[r] for r in sorted(range(len(items)), key=keys.__getitem__)]
+            self._items = tuple(items)
         return self._items[i]
 
 
@@ -416,7 +437,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     js, parents = _merge_rows(beam)
     if js:  # s + c is already the hypothesis s': merge it into s'
         cols = last[js]
-        stay_pnb[js] = list(map(log_add, stay_pnb[js].tolist(), ext[parents, cols].tolist()))
+        stay_pnb[js] = _log_add_many(stay_pnb[js], ext[parents, cols])
         ext[parents, cols] = NEG_INF
     grid[:, m + 1] = stay_total = _log_add_many(stay_pb, stay_pnb)
 
@@ -474,6 +495,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
         alphabet, beam.frame_index + 1, out_pb, out_pnb, out_total, out_lm, out_last,
         out_length, out_hash, out_parent_hash, state, node, tail)
     out._powers = powers
+    out._scores = scores[ks]
     return out
 
 

@@ -8,6 +8,7 @@ Set STREAMCTC_LOG=debug (or info/warning) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -87,6 +88,8 @@ def _stream_records(args, parser, stdin, stdout) -> int:
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
     decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm)
+    if args.start_frame < 0:
+        raise ValidationError("start frame must be >= 0")
     # rows skipped by --start-frame count as read; a stream may end early
     rows_read = 0
     lineno = 1
@@ -226,7 +229,10 @@ def _cmd_s2s_decode(args, parser) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing keeps no state
+    from one call to the next, and no option has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="streamctc",
         description="Streaming CTC decoding toolkit",

@@ -14,8 +14,10 @@ which all have the same length L, with one batched call each.  numpy
 scores each active's end-of-sentence final over LP(L) and all W x |A|
 extensions over LP(L + 1) at once.  The kept finals and the extensions go
 through :func:`streamctc.beam.ranked_cut`, the CTC beam's cut: the W best
-by (-score, prefix, kind) survive.  Only the surviving extensions advance
-the scorer and the LM, again in one batched call each.
+by (-score, prefix, kind) survive, as a set in no fixed order but for the
+best first.  Only the surviving extensions advance the scorer and the LM,
+again in one batched call each; the best final is the least of the kept
+finals by (-score, prefix).
 
 The search stops early, with the same result, once the best kept final
 scores strictly above (log p(y|x) + alpha * log p_LM(y)) / LP(max_length)
@@ -243,8 +245,8 @@ def s2s_decode(
     ceiling = length_penalty(config.max_length, beta)
 
     # actives, all of one length: prefixes, scorer and LM states, and
-    # log p(y|x) and log p_LM(y); finals: (-fused score, prefix), best first
-    # after a step
+    # log p(y|x) and log p_LM(y); finals: (-fused score, prefix), in no
+    # fixed order
     prefixes = [""]
     sc_states = np.fromiter([scorer.initial_state()], dtype=object, count=1)
     lm_states = np.fromiter([lm.initial_state()], dtype=object, count=1)
@@ -273,7 +275,7 @@ def s2s_decode(
             return [finals[k][1] if k < nf else prefixes[(k - nf) // m] + symbols[(k - nf) % m]
                     for k in ks]
 
-        # finals come first in k, so the cut sorts by (-score, prefix, kind)
+        # finals come first in k, so the cut keeps the best by (-score, prefix, kind)
         ks = ranked_cut(scores, width, prefixes_of)
         finals = [finals[k] for k in ks[ks < nf].tolist()]
         rows, cols = np.divmod(ks[ks >= nf] - nf, m)
@@ -284,7 +286,7 @@ def s2s_decode(
         lm_states = lm.advance_many(lm_states[rows], lm_index[cols])
         base_sc, base_lm = sc[rows, cols], lm_lp[rows, cols]
         # No descendant of an active scores above bound / LP(max_length).
-        if finals and -finals[0][0] > float(total[rows, cols].max()) / ceiling:
+        if finals and -min(finals)[0] > float(total[rows, cols].max()) / ceiling:
             break
 
     neg_score, prefix = min(finals)

@@ -96,6 +96,7 @@ def run_both(alphabet, rows, config, lm):
             break
         got = beam_step(beam, row, config, lm)
         assert snapshot(got) == snapshot(want)
+        assert got.best == got.hypotheses[0]  # row 0 is the best
         beam = got
     return seen
 
@@ -290,3 +291,31 @@ class TestLmRowCheck:
             dec.push(self.ROW)
         assert str(exc.value) == self.MESSAGE
         assert dec.frames_seen == 0
+
+
+class TestRankedCut:
+    """The cut keeps the ``width`` best entries by (-score, prefix, k), the
+    best first, and asks for the prefixes of only the entries that decide a
+    tie: those equal to the width-th score or to the best score."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-np.inf, -2.0, -1.0, -0.5, 0.0]),
+                              st.sampled_from(["", "a", "ab", "b", "ba"])),
+                    min_size=1, max_size=30),
+           st.data())
+    def test_keeps_the_best_by_score_then_prefix(self, entries, data):
+        width = data.draw(st.integers(1, len(entries)), label="width")
+        scores = np.array([score for score, _ in entries])
+        prefixes = [prefix for _, prefix in entries]
+        order = sorted(range(len(entries)), key=lambda k: (-scores[k], prefixes[k], k))
+        kth, best = scores[order[width - 1]], scores[order[0]]
+        asked = []
+
+        def prefixes_of(ks):
+            asked.extend(ks)
+            return [prefixes[k] for k in ks]
+
+        got = beam_module.ranked_cut(scores, width, prefixes_of).tolist()
+        assert sorted(got) == sorted(order[:width])
+        assert got[0] == order[0]
+        assert all(scores[k] == kth or scores[k] == best for k in asked)

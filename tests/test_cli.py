@@ -262,6 +262,17 @@ class TestStream:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 3 and records[-1]["final"] is True
 
+    @pytest.mark.parametrize("flag, message", [("--lag", "lag must be >= 0"),
+                                               ("--start-frame", "start frame must be >= 0")])
+    def test_negative_lag_or_start_frame_is_validation_exit(self, capsys, monkeypatch, flag,
+                                                            message):
+        body = "CTCEM v1 2 3 ab-\n" + "0.2 0.3 0.5\n" * 2
+        code, out, err = run(capsys, ["stream", "--alpha", "0", flag, "-1"],
+                             stdin_text=body, monkeypatch=monkeypatch)
+        assert code == 4
+        assert out.splitlines() == [json.dumps({"error": message})]
+        assert err == f"streamctc: {message}\n"
+
     def test_missing_header(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["stream", "--alpha", "0"], stdin_text="",
                            monkeypatch=monkeypatch)
@@ -412,6 +423,36 @@ class TestPipeComposition:
             text, score = out.rstrip("\n").split("\t")
             assert final["hypothesis"] == text
             assert final["score"] == pytest.approx(float(score), abs=1e-6)
+
+
+class TestParserReuse:
+    def test_calls_in_sequence_parse_as_a_fresh_parser(self, capsys, monkeypatch, tmp_path,
+                                                       demo_em):
+        # main parses with one cached parser: no default or argument of one
+        # call may reach the next
+        scorer = tmp_path / "scorer.s2sm"
+        scorer.write_text("S2SM v1 hi\n\th\t1.0\nh\ti\t1.0\nhi\t</s>\t1.0\n",
+                          encoding="utf-8")
+        body = demo_em.read_text(encoding="utf-8")
+        calls = [
+            ["decode", str(demo_em), "--beam-width", "3", "--alpha", "0"],
+            ["decode", str(demo_em), "--alpha", "0"],
+            ["decode", str(demo_em), "--greedy"],
+            ["stream", "--lag", "1", "--start-frame", "2", "--alpha", "0", "--beam-width", "2"],
+            ["stream", "--alpha", "0"],
+            ["s2s-decode", str(scorer), "--alpha", "0", "--beta", "0", "--max-length", "2"],
+            ["s2s-decode", str(scorer), "--alpha", "0"],
+            ["decode", str(demo_em), "--alpha", "0"],
+        ]
+        reused = [run(capsys, argv, body, monkeypatch) for argv in calls]
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        for argv in calls:
+            fresh = cli.build_parser.__wrapped__()
+            assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
+        for argv, got in zip(calls, reused):
+            cli.build_parser.cache_clear()
+            assert run(capsys, argv, body, monkeypatch) == got
 
 
 class TestVersion:
