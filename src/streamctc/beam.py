@@ -19,18 +19,22 @@ prefixes whose total probability is zero.
 A beam is a set of arrays, one entry per hypothesis: both buckets and their
 sum, the final character, the length, the LM state and accumulated LM
 log-probability, a hash of the prefix and of the prefix less its last
-character, and the prefix itself as a pointer node.  A node is
-``(parent node, chunk)`` for every full chunk of ``_CHUNK`` characters,
-plus a tail string of the rest, so hypotheses share their common history
-and the memory is bounded by W plus the transcript.
+character, the row holding that parent prefix (or -1), and the prefix
+itself as a pointer node.  A node is ``(parent node, chunk)`` for every
+full chunk of ``_CHUNK`` characters, plus a tail string of the rest, so
+hypotheses share their common history and the memory is bounded by W
+plus the transcript.
 
 A step is a fixed number of numpy operations over these arrays and the
 W x |A| extension grid, whose cost does not grow with the transcript, plus
-two short Python passes.  One pairs each hypothesis s + c with the
-hypothesis s, whose extension by c it absorbs, by a dict of hashes, and
-checks each pair on the nodes.  The other is ``math``'s log-add for the
-merged pairs and for the hypotheses whose two buckets are both finite
-(numpy's ``exp`` and ``log1p`` differ from ``math``'s in the last bit).
+``math``'s log-add for the merged pairs and for the hypotheses whose two
+buckets are both finite (numpy's ``exp`` and ``log1p`` differ from
+``math``'s in the last bit).  The parent rows give the merges: s + c is
+the hypothesis whose parent is s, and absorbs s's extension by c.  They
+are carried through the cut: an extension's parent is the hypothesis it
+extends, and a hypothesis that stays keeps its parent, when that
+survives.  Only a parent that had left the beam and comes back as an
+extension is looked up, by hash, and checked on the nodes.
 :func:`ranked_cut`, shared with the seq2seq search in ``s2s.py``, keeps
 the W best by (-score, prefix) as a set with the best first: it partitions
 the scores in numpy and spells prefixes only for the entries that tie
@@ -223,16 +227,16 @@ class Beam:
     """Hypotheses for one frame, with distinct prefixes, the best first.
 
     ``Beam(alphabet, hypotheses, frame_index)`` builds a beam from
-    :class:`Hypothesis` values and keeps their order.  :func:`beam_step`
-    builds its beams from arrays, with the best hypothesis by (-pruning
-    score, prefix) in row 0 and the rest in no fixed order, and keeps each
-    row's pruning score.  :attr:`hypotheses` and :attr:`best` are views
-    built on demand; :attr:`hypotheses` gives a stepped beam's hypotheses
-    in (-pruning score, prefix) order.
+    :class:`Hypothesis` values, keeps their order and rejects a prefix given
+    twice.  :func:`beam_step` builds its beams from arrays, with the best
+    hypothesis by (-pruning score, prefix) in row 0 and the rest in no fixed
+    order, and keeps each row's pruning score.  :attr:`hypotheses` and
+    :attr:`best` are views built on demand; :attr:`hypotheses` gives a
+    stepped beam's hypotheses in (-pruning score, prefix) order.
     """
 
     __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
-                 "_last", "_length", "_hash", "_parent_hash", "_state", "_node",
+                 "_last", "_length", "_hash", "_parent_hash", "_up", "_state", "_node",
                  "_tail", "_view", "_best_prefix", "_powers", "_scores")
 
     def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
@@ -241,9 +245,13 @@ class Beam:
         index = alphabet._index
         nodes, tails, hashes, parent_hashes, lasts = [], [], [], [], []
         shared = {}  # (id of parent node, chunk) -> node, so prefixes share history
+        row_of = {}
         for hyp in hyps:
             prefix = hyp.prefix
             alphabet.validate_text(prefix)
+            if prefix in row_of:
+                raise ValidationError(f"beam holds the prefix {prefix!r} twice")
+            row_of[prefix] = len(row_of)
             digest = parent = 0
             for ch in prefix:
                 parent, digest = digest, (digest * _HASH_MUL + index[ch] + 1) % 2**64
@@ -257,6 +265,7 @@ class Beam:
                 node = shared.setdefault((id(node), chunk), (node, chunk))
             nodes.append(node)
             tails.append(prefix[cut:])
+        up = [row_of.get(prefix[:-1], -1) if prefix else -1 for prefix in row_of]
 
         def floats(values):
             return np.array(list(values), dtype=np.float64)
@@ -266,18 +275,18 @@ class Beam:
                   floats(h.lm_logprob for h in hyps), np.array(lasts, dtype=np.intp),
                   np.array([len(h.prefix) for h in hyps], dtype=np.intp),
                   np.array(hashes, dtype=np.uint64), np.array(parent_hashes, dtype=np.uint64),
-                  _state_array([h.lm_state for h in hyps]),
+                  np.array(up, dtype=np.intp), _state_array([h.lm_state for h in hyps]),
                   np.fromiter(nodes, dtype=object, count=len(hyps)),
                   np.fromiter(tails, dtype=object, count=len(hyps)))
         self._view = hyps
 
     def _set(self, alphabet, frame_index, pb, pnb, total, lm_logprob, last, length,
-             digest, parent_digest, state, node, tail) -> "Beam":
+             digest, parent_digest, up, state, node, tail) -> "Beam":
         self.alphabet = alphabet
         self.frame_index = frame_index
         self._pb, self._pnb, self._total, self._lm_logprob = pb, pnb, total, lm_logprob
         self._last, self._length = last, length
-        self._hash, self._parent_hash = digest, parent_digest
+        self._hash, self._parent_hash, self._up = digest, parent_digest, up
         self._state, self._node, self._tail = state, node, tail
         self._view = self._best_prefix = self._powers = self._scores = None
         return self
@@ -355,35 +364,6 @@ def _state_array(states: list) -> np.ndarray:
     return np.fromiter(states, dtype=object, count=len(states))
 
 
-def _merge_rows(beam: Beam) -> tuple[list[int], list[int]]:
-    """Rows j and i of the hypotheses whose prefix is another's, i's, plus
-    one character.  They pair by the hash of j's prefix without its last
-    character; each pair is then checked on the nodes and tails, so a hash
-    collision cannot merge two different prefixes."""
-    hashes = beam._hash.tolist()
-    row_of = dict(zip(hashes, range(len(hashes))))
-    if len(row_of) < len(hashes):  # two prefixes share a hash: match by string
-        prefixes = [beam._prefix(r) for r in range(len(hashes))]
-        row_of = {p: r for r, p in enumerate(prefixes)}
-        pairs = [(j, row_of.get(p[:-1])) for j, p in enumerate(prefixes) if p]
-        return [j for j, i in pairs if i is not None], [i for _, i in pairs if i is not None]
-    nodes, tails = beam._node.tolist(), beam._tail.tolist()
-    js, parents = [], []
-    for j, i in enumerate(map(row_of.get, beam._parent_hash.tolist())):
-        if i is None:
-            continue
-        node, tail, parent_tail = nodes[j], tails[j], tails[i]
-        if not tail:  # j is the empty prefix, or its last character closed a chunk
-            if node is None:
-                continue
-            node, tail = node
-        if (len(tail) == len(parent_tail) + 1 and tail.startswith(parent_tail)
-                and (node is nodes[i] or node == nodes[i])):
-            js.append(j)
-            parents.append(i)
-    return js, parents
-
-
 def beam_init(alphabet: Alphabet, config: BeamConfig, lm: CharLm | None = None) -> Beam:
     """Single empty-prefix hypothesis with all mass in the blank bucket."""
     lm = lm if lm is not None else _uniform_lm(alphabet.symbols)
@@ -434,8 +414,9 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
         ext += config.alpha * lm_lp
     stay_pb = blank_lp + total
     stay_pnb = repeat + pnb
-    js, parents = _merge_rows(beam)
-    if js:  # s + c is already the hypothesis s': merge it into s'
+    js = (beam._up >= 0).nonzero()[0]
+    parents = beam._up[js]
+    if js.size:  # s + c is already the hypothesis s': merge it into s'
         cols = last[js]
         stay_pnb[js] = _log_add_many(stay_pnb[js], ext[parents, cols])
         ext[parents, cols] = NEG_INF
@@ -480,7 +461,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     out_hash, out_parent_hash = beam._hash[src], beam._parent_hash[src]
     out_parent_hash[x] = out_hash[x]
     char_objects, digits = _symbol_arrays(symbols)
-    out_hash[x] = out_hash[x] * np.uint64(_HASH_MUL) + digits[cx]
+    out_hash[x] = hashes = out_hash[x] * np.uint64(_HASH_MUL) + digits[cx]
     state, node, tail = beam._state[src], beam._node[src], beam._tail[src]
     if x.size:
         state[x] = lm.advance_many(state[x], cx if lm_cols is None else lm_cols[cx])
@@ -491,9 +472,27 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
                     node[x[f]] = (node[x[f]], text)
                     grown[f] = ""
         tail[x] = np.fromiter(grown, dtype=object, count=len(grown))
+
+    # Each row's parent row.  Every extension is new to the beam (merged ones
+    # were cut), so its parent is its source's stay; a stay's is the stay of its
+    # source's parent, if kept, or else an extension, found by hash and checked.
+    # candidate -> new row, or -1, over one row past the grid: index -1 reads -1
+    at = np.empty((n + 1) * (m + 2), dtype=np.intp)
+    at.fill(-1)
+    at[ks] = np.arange(ks.size)
+    parent_src = beam._up[src]
+    parent_src[x] = sx
+    up = at[m + 1::m + 2][parent_src]  # the new rows of the parents' stays
+    lone = parent_src < 0
+    if not set(hashes.tolist()).isdisjoint(out_parent_hash[lone].tolist()):
+        for j in lone.nonzero()[0].tolist():
+            j_node, j_tail = (node[j], tail[j]) if tail[j] or node[j] is None else node[j]
+            for i in x[hashes == out_parent_hash[j]].tolist():
+                if j_tail and j_tail[:-1] == tail[i] and (j_node is node[i] or j_node == node[i]):
+                    up[j] = i
     out = Beam.__new__(Beam)._set(
         alphabet, beam.frame_index + 1, out_pb, out_pnb, out_total, out_lm, out_last,
-        out_length, out_hash, out_parent_hash, state, node, tail)
+        out_length, out_hash, out_parent_hash, up, state, node, tail)
     out._powers = powers
     out._scores = scores[ks]
     return out

@@ -18,6 +18,7 @@ best hypothesis's LM state.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -171,6 +172,17 @@ def changes_per_frame(outputs: Sequence[IncrementalOutput | str]) -> float:
     total = 0
     for out in outputs:
         cur = out.hypothesis if isinstance(out, IncrementalOutput) else str(out)
-        total += edit_distance(prev, cur).distance
+        total += _churn(prev, cur)
         prev = cur
     return total / len(outputs)
+
+
+def _churn(prev: str, cur: str) -> int:
+    """The edit distance from ``prev`` to ``cur``, taken between what is left
+    when their common prefix and then their common suffix are cut: a shortest
+    edit never needs to touch those, and consecutive hypotheses mostly share
+    all but their last few characters."""
+    start = len(os.path.commonprefix((prev, cur)))
+    prev, cur = prev[start:], cur[start:]
+    end = len(os.path.commonprefix((prev[::-1], cur[::-1])))
+    return edit_distance(prev[:len(prev) - end], cur[:len(cur) - end]).distance

@@ -80,6 +80,15 @@ def snapshot(beam):
     ]
 
 
+def assert_parents(beam):
+    """The beam's carried parent rows are those its spelled prefixes give:
+    the row holding the prefix less its last character, or -1."""
+    prefixes = [beam._prefix(r) for r in range(len(beam))]
+    row_of = {p: r for r, p in enumerate(prefixes)}
+    assert len(row_of) == len(prefixes)
+    assert beam._up.tolist() == [row_of.get(p[:-1], -1) if p else -1 for p in prefixes]
+
+
 def run_both(alphabet, rows, config, lm):
     """Step both implementations from the same beam on every row and compare;
     returns the beams before each step.  A collapse must happen in both."""
@@ -97,6 +106,7 @@ def run_both(alphabet, rows, config, lm):
         got = beam_step(beam, row, config, lm)
         assert snapshot(got) == snapshot(want)
         assert got.best == got.hypotheses[0]  # row 0 is the best
+        assert_parents(got)
         beam = got
     return seen
 
@@ -223,6 +233,45 @@ class TestPrefixNodes:
         assert snapshot(got) == snapshot(reference_beam_step(beam, row, config))
         # "ca" + "b" merges into "cab"; "abc" and "bca" tie for the last place
         assert [h.prefix for h in got.hypotheses] == ["cab", "abc"]
+
+
+class TestCarriedParents:
+    """A beam carries, for each row, the row whose prefix is its own less the
+    last character, and a step updates that relation from its cut."""
+
+    ABCD = Alphabet("abcd")
+
+    @pytest.mark.parametrize("chunk", [1, 64])
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_parent_found_among_new_extensions(self, monkeypatch, chunk, colliding):
+        monkeypatch.setattr(beam_module, "_CHUNK", chunk)
+        if colliding:  # the hash is the sum of the digits: "bac" and "cc" hash as "abc"
+            monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
+        # "ba" + "c" comes before "abc" among the candidates, and "c" + "c" after it
+        beam = Beam(self.ABCD, [Hypothesis(p, -1.1, -2.2, None, 0.0)
+                                for p in ("ba", "ab", "abcd", "c")])
+        assert beam._up.tolist() == [-1, -1, -1, -1]  # "abcd" has no parent in the beam
+        config = BeamConfig(width=100, alpha=0.0, beta=0.0)
+        stepped = []
+        # "ab" + "c" survives as the parent of "abcd"; then "abc" + "d" merges into it
+        for row in ([0.05, 0.05, 0.4, 0.05, 0.45], [0.05, 0.05, 0.05, 0.4, 0.45]):
+            got = beam_step(beam, row, config)
+            assert snapshot(got) == snapshot(reference_beam_step(beam, row, config))
+            assert_parents(got)
+            stepped.append(got)
+            beam = got
+        first = stepped[0]
+        prefixes = [first._prefix(r) for r in range(len(first))]
+        assert first._up[prefixes.index("abcd")] == prefixes.index("abc")
+        if colliding:
+            assert first._hash[prefixes.index("bac")] == first._hash[prefixes.index("abc")]
+            assert first._hash[prefixes.index("cc")] == first._hash[prefixes.index("abc")]
+        assert "abcd" in [h.prefix for h in stepped[1].hypotheses]
+
+    def test_repeated_prefix_is_rejected(self):
+        hyps = [Hypothesis("a", -1.0, -2.0, None, 0.0), Hypothesis("a", -1.5, -2.5, None, 0.0)]
+        with pytest.raises(ValidationError, match="beam holds the prefix 'a' twice"):
+            Beam(Alphabet("ab"), hyps)
 
 
 class TestBeamCollapse:

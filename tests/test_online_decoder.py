@@ -18,6 +18,7 @@ from streamctc import (
     beam_init,
     beam_step,
     changes_per_frame,
+    edit_distance,
     lm_complete_word,
     receptive_field,
     train_ngram,
@@ -257,6 +258,28 @@ class TestWordCompletion:
 
 
 class TestChangesPerFrame:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("abc", max_size=12), st.text("abc", max_size=12), st.text("ab", max_size=4))
+    def test_trimmed_distance_is_the_edit_distance(self, prev, cur, shared):
+        # shared text around both strings makes the common prefix and suffix
+        for a, b in [(prev, cur), (shared + prev, shared + cur), (prev + shared, cur + shared),
+                     (shared + prev + shared, shared + cur + shared)]:
+            assert streaming._churn(a, b) == edit_distance(a, b).distance
+
+    def test_long_transcript_runs_small_tables(self, monkeypatch):
+        # only the changed middles reach the quadratic edit-distance table
+        cells = []
+
+        def spy(a, b):
+            cells.append(len(a) * len(b))
+            return edit_distance(a, b)
+
+        monkeypatch.setattr(streaming, "edit_distance", spy)
+        prev = "the cat sat on the mat " * 90
+        outputs = [prev, prev + "a", prev[:-1] + "x", prev[:-5]]
+        assert changes_per_frame(outputs) == pytest.approx((len(prev) + 1 + 2 + 5) / 4)
+        assert max(cells) <= 5
+
     def test_steady_growth(self):
         assert changes_per_frame(["a", "ab", "abc"]) == pytest.approx(1.0)
 
