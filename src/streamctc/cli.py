@@ -320,10 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"streamctc: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, CapacityError) as exc:
-        print(f"streamctc: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, CapacityError, FileNotFoundError) as exc:
         print(f"streamctc: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:

@@ -1,10 +1,12 @@
 """Plumbing shared by the three versioned text formats (CTCEM, NGLM, S2SM).
 
 Each format is one header line of space-separated fields starting with its
-magic, then a body; the NGLM and S2SM bodies are lines of three
-tab-separated fields.  These helpers open a path or take an open stream,
-check the magic and cut an NGLM or S2SM body into fields; the module that
-owns a format checks what the fields hold.
+magic, then a body.  The NGLM and S2SM bodies share one format: lines of
+``key<TAB>token<TAB>value``, with the characters of keys and the tokens
+drawn from the header alphabet plus :data:`EOS`, one entry per (key,
+token), written sorted.  This module opens a path or takes an open stream,
+checks the magic, and reads, rebuilds and writes those bodies; the module
+that owns a format checks what the values hold.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import contextlib
 from itertools import repeat
 from typing import IO, Iterator
 
+import numpy as np
+
 from .errors import ParseError
+
+#: End-of-sentence token.  Scored like a character but never emitted by CTC
+#: decoding; used by seq2seq termination and word-completion rollouts.
+EOS = "</s>"
 
 
 @contextlib.contextmanager
@@ -46,21 +54,50 @@ def header_fields(line: str, magic: str, count: int) -> list[str]:
     return parts[2:]
 
 
-def entry_columns(lines: list[str]) -> tuple[list[str], list[str], list[str]] | None:
-    """The three tab-separated fields of every non-blank body line, as three
-    columns in file order, or None if some line has another number of
-    fields.  ``lines`` are as ``readlines`` gives them, so the last field
-    may keep its line end; ``int`` and ``float`` ignore it.  Only strings
-    are made per line, no containers, so a long file does not set off the
-    cyclic garbage collector."""
+def entry_columns(lines: list[str], symbols: str):
+    """``(keys, rows, cols, values)`` of a body: the distinct keys in file
+    order, and each line's key row, token column (the symbols, then EOS) and
+    value field, which may keep its line end (``int`` and ``float`` ignore
+    it).  None if a line has another number of fields, a key or token is
+    outside the alphabet, or a (key, token) repeats.  Only strings are made
+    per line, so a long file does not set off the cyclic garbage collector."""
     if "\n" in lines:
         lines = list(filter("\n".__ne__, lines))
-    if not lines:
-        return [], [], []
     if not all(map((2).__eq__, map(str.count, lines, repeat("\t")))):
         return None
-    fields = "\t".join(lines).split("\t")
-    return fields[0::3], fields[1::3], fields[2::3]
+    fields = "\t".join(lines).split("\t") if lines else []
+    key_col, token_col = fields[0::3], fields[1::3]
+    token_index = dict(zip([*symbols, EOS], range(len(symbols) + 1)))
+    key_index = {key: i for i, key in enumerate(dict.fromkeys(key_col))}
+    if not set(token_col) <= token_index.keys() or not set("".join(key_index)) <= set(symbols):
+        return None
+    rows = np.fromiter(map(key_index.__getitem__, key_col), dtype=np.intp, count=len(key_col))
+    cols = np.fromiter(map(token_index.__getitem__, token_col), dtype=np.intp,
+                       count=len(token_col))
+    if np.bincount(rows * (len(symbols) + 1) + cols, minlength=1).max() > 1:
+        return None  # a duplicate entry
+    return list(key_index), rows, cols, fields[2::3]
+
+
+def entry_dict(keys: list, rows, cols, values: list, tokens: list[str]) -> dict:
+    """``{key: {token: value}}`` in file order from the columns of
+    :func:`entry_columns`, with ``tokens[c]`` the token of column c."""
+    out: dict = {key: {} for key in keys}
+    for r, c, value in zip(rows.tolist(), cols.tolist(), values):
+        out[keys[r]][tokens[c]] = value
+    return out
+
+
+def write_entries(sink, header: str, table: dict) -> None:
+    """Write ``header`` and then a body line per entry of ``table``, a
+    ``{key: {token: value}}`` dict whose keys are strings or tuples of
+    characters, sorted by key and then token."""
+    with opened(sink, "w") as fh:
+        fh.write(f"{header}\n")
+        for key in sorted(table):
+            dist = table[key]
+            for tok in sorted(dist):
+                fh.write(f"{''.join(key)}\t{tok}\t{dist[tok]}\n")
 
 
 def scan_entries(lines: list[str]) -> Iterator[tuple[int, list[str]]]:

@@ -12,6 +12,10 @@ and fixed from then on.  Its states are the ints of a goto/failure
 automaton over the stored contexts, built at first use: advancing and
 scoring are two array reads each, and the batched methods read the rows
 and successors of many states with two fancy indexes each.
+
+:mod:`streamctc.formats` reads, rebuilds and writes the NGLM body; this
+module checks what its values mean: the empty context is there, and every
+count is an int above 0.
 """
 
 from __future__ import annotations
@@ -26,11 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .formats import entry_columns, first_line, header_fields, opened, scan_entries
-
-#: End-of-sentence token.  Scored like a character but never emitted by CTC
-#: decoding; used by seq2seq termination and word-completion rollouts.
-EOS = "</s>"
+from .formats import (EOS, entry_columns, entry_dict, first_line, header_fields, opened,
+                      scan_entries, write_entries)
 
 NGLM_MAGIC = "NGLM v1"
 
@@ -309,11 +310,7 @@ class NgramLm(CharLm):
         """``{context: {token: count}}`` in file order, built when first read
         (by :func:`save_ngram`) for a model loaded from a file."""
         contexts, rows, cols, counts = self._entries
-        keys = list(map(tuple, contexts))
-        out: dict[tuple[str, ...], dict[str, int]] = {ctx: {} for ctx in keys}
-        for r, c, count in zip(rows.tolist(), cols.tolist(), counts):
-            out[keys[r]][self._tokens[c]] = count
-        return out
+        return entry_dict(list(map(tuple, contexts)), rows, cols, counts, self._tokens)
 
     def initial_state(self) -> int:
         return self._contexts.index("")
@@ -391,12 +388,7 @@ def train_ngram(lines: Iterable[str], symbols: str, order: int = 3,
 
 def save_ngram(lm: NgramLm, sink) -> None:
     """Write the versioned text format: header, then context/char/count lines."""
-    with opened(sink, "w") as fh:
-        fh.write(f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}\n")
-        for ctx in sorted(lm._counts):
-            dist = lm._counts[ctx]
-            for tok in sorted(dist):
-                fh.write(f"{''.join(ctx)}\t{tok}\t{dist[tok]}\n")
+    write_entries(sink, f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}", lm._counts)
 
 
 def load_ngram(source) -> NgramLm:
@@ -425,30 +417,18 @@ def load_ngram(source) -> NgramLm:
 
 def _ngram_entries(lines: list[str], symbols: str):
     """The arguments of :meth:`NgramLm._from_columns` after ``symbols``,
-    read by column, if every line is well formed; None sends the caller to
+    read by column, if every line is well formed, the empty context is
+    present and every count is an int above 0; None sends the caller to
     :func:`_scan_ngram` to find the first bad line."""
-    columns = entry_columns(lines)
-    if columns is None:
+    columns = entry_columns(lines, symbols)
+    if columns is None or "" not in columns[0]:
         return None
-    ctxs, toks, count_fields = columns
-    token_index = {c: i for i, c in enumerate(symbols)}
-    token_index[EOS] = len(symbols)
-    contexts = dict.fromkeys(ctxs)
-    if ("" not in contexts or not set(toks) <= token_index.keys()
-            or not set("".join(contexts)) <= set(symbols)):
-        return None
+    contexts, rows, cols, count_fields = columns
     try:
         counts = list(map(int, count_fields))
     except ValueError:
         return None
-    if min(counts) <= 0:
-        return None
-    context_index = dict(zip(contexts, range(len(contexts))))
-    rows = np.fromiter(map(context_index.__getitem__, ctxs), dtype=np.intp, count=len(ctxs))
-    cols = np.fromiter(map(token_index.__getitem__, toks), dtype=np.intp, count=len(toks))
-    if np.bincount(rows * (len(symbols) + 1) + cols).max() > 1:
-        return None  # a duplicate entry
-    return list(contexts), rows, cols, counts
+    return (contexts, rows, cols, counts) if min(counts) > 0 else None
 
 
 def _scan_ngram(lines: list[str], symbols: str) -> dict[tuple[str, ...], dict[str, int]]:

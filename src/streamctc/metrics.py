@@ -3,6 +3,7 @@ confusion matrix."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +69,17 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditAlignment:
     return EditAlignment(tuple(ops), dist[n][m])
 
 
+def levenshtein(ref: Sequence, hyp: Sequence) -> int:
+    """The edit distance from ``ref`` to ``hyp``, taken between what is left
+    when their common prefix and then their common suffix are cut: a
+    shortest edit never needs to touch those.  The alignment of what is
+    left may differ at its ends, so :func:`confusion_matrix` aligns all."""
+    start = len(os.path.commonprefix((ref, hyp)))
+    ref, hyp = ref[start:], hyp[start:]
+    end = len(os.path.commonprefix((ref[::-1], hyp[::-1])))
+    return edit_distance(ref[:len(ref) - end], hyp[:len(hyp) - end]).distance
+
+
 def _words(text: str) -> list[str]:
     return [w for w in text.strip().split(" ") if w]
 
@@ -82,7 +94,7 @@ def _rate(pairs: Sequence[tuple[str, str]], tokens, name: str) -> float:
     edits = total = 0
     for ref, hyp in pairs:
         ref_tokens = tokens(ref)
-        edits += edit_distance(ref_tokens, tokens(hyp)).distance
+        edits += levenshtein(ref_tokens, tokens(hyp))
         total += len(ref_tokens)
     if not total:
         raise ValidationError(f"{name} is undefined for an empty reference")

@@ -38,8 +38,9 @@ import numpy as np
 
 from .beam import ranked_cut
 from .errors import ParseError, ValidationError
-from .formats import entry_columns, first_line, header_fields, opened, scan_entries
-from .lm import EOS, CharLm, UniformLm, check_log_rows
+from .formats import (entry_columns, entry_dict, first_line, header_fields, opened,
+                      scan_entries, write_entries)
+from .lm import CharLm, UniformLm, check_log_rows
 
 S2SM_MAGIC = "S2SM v1"
 DIST_SUM_TOL = 1e-9
@@ -125,12 +126,7 @@ class TableScorer(CharLm):
     def _table(self) -> dict[str, dict[str, float]]:
         """``{prefix: {token: probability}}`` in file order, built when first
         read (by :func:`save_table_scorer`) for a scorer loaded from a file."""
-        prefixes, rows, cols, values = self._entries
-        tokens = [*self.symbols, EOS]
-        out: dict[str, dict[str, float]] = {p: {} for p in prefixes}
-        for r, c, p in zip(rows, cols, values):
-            out[prefixes[r]][tokens[c]] = p
-        return out
+        return entry_dict(*self._entries, self._tokens)
 
     def initial_state(self) -> str:
         return ""
@@ -153,12 +149,7 @@ class TableScorer(CharLm):
 
 
 def save_table_scorer(scorer: TableScorer, sink) -> None:
-    with opened(sink, "w") as fh:
-        fh.write(f"{S2SM_MAGIC} {scorer.symbols}\n")
-        for prefix in sorted(scorer._table):
-            dist = scorer._table[prefix]
-            for ch in sorted(dist):
-                fh.write(f"{prefix}\t{ch}\t{dist[ch]!r}\n")
+    write_entries(sink, f"{S2SM_MAGIC} {scorer.symbols}", scorer._table)
 
 
 def load_table_scorer(source) -> TableScorer:
@@ -179,18 +170,14 @@ def load_table_scorer(source) -> TableScorer:
 
 def _table_entries(lines: list[str], symbols: str):
     """The arguments of :meth:`TableScorer._from_columns` after
-    ``symbols``, read by column, if every line and every row is valid; None
-    sends the caller to :func:`_scan_table` and the constructor to find the
-    first fault."""
-    columns = entry_columns(lines)
+    ``symbols``, read by column, if every line is well formed, every
+    probability is a float in [0, 1] and every row sums to 1; None sends the
+    caller to :func:`_scan_table` and the constructor to find the first
+    fault."""
+    columns = entry_columns(lines, symbols)
     if columns is None:
         return None
-    prefixes, chars, prob_fields = columns
-    token_index = {c: i for i, c in enumerate(symbols)}
-    token_index[EOS] = len(symbols)
-    unique = dict.fromkeys(prefixes)
-    if not set(chars) <= token_index.keys() or not set("".join(unique)) <= set(symbols):
-        return None
+    prefixes, rows, cols, prob_fields = columns
     try:
         values = list(map(float, prob_fields))
     except ValueError:
@@ -198,18 +185,11 @@ def _table_entries(lines: list[str], symbols: str):
     probs = np.array(values)
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
         return None
-    prefix_index = dict(zip(unique, range(len(unique))))
-    rows = list(map(prefix_index.__getitem__, prefixes))
-    cols = list(map(token_index.__getitem__, chars))
-    width = len(symbols) + 1
-    flat = np.array(rows, dtype=np.intp) * width + np.array(cols, dtype=np.intp)
-    if np.bincount(flat, minlength=1).max() > 1:
-        return None  # a duplicate entry
-    table = np.zeros((len(unique), width))
-    table.flat[flat] = probs
+    table = np.zeros((len(prefixes), len(symbols) + 1))
+    table[rows, cols] = probs
     if (np.abs(table.sum(axis=1) - 1.0) > DIST_SUM_TOL).any():
         return None
-    return list(unique), table, (rows, cols, values)
+    return prefixes, table, (rows, cols, values)
 
 
 def _scan_table(lines: list[str]) -> dict[str, dict[str, float]]:

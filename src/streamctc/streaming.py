@@ -18,7 +18,6 @@ best hypothesis's LM state.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +26,7 @@ from .beam import Beam, BeamConfig, beam_init, beam_step
 from .ctc import Alphabet
 from .errors import ValidationError
 from .lm import CharLm, UniformLm
-from .metrics import edit_distance
+from .metrics import levenshtein
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class StreamingDecoder:
             [beam_init(alphabet, self.config, self.lm)], maxlen=lag + 1
         )
         self.frames_seen = 0
-        self.beam_steps_last_push = 0
 
     @property
     def committed_beam(self) -> Beam:
@@ -137,7 +135,6 @@ class StreamingDecoder:
         beam = beam_step(self._beams[-1], frame, self.config, self.lm)
         self._beams.append(beam)
         self.frames_seen += 1
-        self.beam_steps_last_push = 1
         hypothesis = beam._prefix(0)
         return IncrementalOutput(
             frame_index=self.frames_seen,
@@ -172,17 +169,7 @@ def changes_per_frame(outputs: Sequence[IncrementalOutput | str]) -> float:
     total = 0
     for out in outputs:
         cur = out.hypothesis if isinstance(out, IncrementalOutput) else str(out)
-        total += _churn(prev, cur)
+        total += levenshtein(prev, cur)
         prev = cur
     return total / len(outputs)
 
-
-def _churn(prev: str, cur: str) -> int:
-    """The edit distance from ``prev`` to ``cur``, taken between what is left
-    when their common prefix and then their common suffix are cut: a shortest
-    edit never needs to touch those, and consecutive hypotheses mostly share
-    all but their last few characters."""
-    start = len(os.path.commonprefix((prev, cur)))
-    prev, cur = prev[start:], cur[start:]
-    end = len(os.path.commonprefix((prev[::-1], cur[::-1])))
-    return edit_distance(prev[:len(prev) - end], cur[:len(cur) - end]).distance

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctc import metrics
 from streamctc import (
     ValidationError,
     cer,
@@ -12,7 +13,7 @@ from streamctc import (
     edit_distance,
     wer,
 )
-from streamctc.metrics import corpus_error_rates
+from streamctc.metrics import corpus_error_rates, levenshtein
 
 texts = st.text(alphabet="abcd ", max_size=10)
 
@@ -71,7 +72,40 @@ class TestEditDistance:
         assert edit_distance(["to", "be"], ["to", "see"]).distance == 1
 
 
+class TestLevenshtein:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("abc", max_size=12), st.text("abc", max_size=12), st.text("ab", max_size=4))
+    def test_trimmed_distance_is_the_edit_distance(self, prev, cur, shared):
+        # shared text around both strings makes the common prefix and suffix
+        for a, b in [(prev, cur), (shared + prev, shared + cur), (prev + shared, cur + shared),
+                     (shared + prev + shared, shared + cur + shared)]:
+            assert levenshtein(a, b) == edit_distance(a, b).distance
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.lists(st.sampled_from(["a", "ab", "b", "ba", ""]), max_size=6)] * 3)
+    def test_trimmed_distance_on_word_lists(self, ref, hyp, shared):
+        for a, b in [(ref, hyp), (shared + ref + shared, shared + hyp + shared)]:
+            assert levenshtein(a, b) == edit_distance(a, b).distance
+
+
 class TestWerCer:
+    @pytest.mark.parametrize("rate,ref,hyp,middle,expected", [
+        (cer, "the cat sat", "the bat sat", (["c"], ["b"]), 1 / 11),
+        (cer, "abc" * 700, "abc" * 350 + "x" + "abc" * 350, ([], ["x"]), 1 / 2100),
+        (wer, "the cat sat on the mat", "the cat ran on the mat", (["sat"], ["ran"]), 1 / 6),
+    ], ids=["cer", "cer-2100-chars", "wer"])
+    def test_only_the_differing_middle_is_aligned(self, monkeypatch, rate, ref, hyp, middle,
+                                                   expected):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return edit_distance(a, b)
+
+        monkeypatch.setattr(metrics, "edit_distance", spy)
+        assert rate(ref, hyp) == expected
+        assert calls == [middle]
+
     def test_spec_sentence(self):
         assert wer("home to an animal", "home you and animal") == 0.5
 

@@ -244,6 +244,13 @@ class TestSerialization:
         reloaded = TableScorer.load(path)
         assert np.array_equal(reloaded.next_log_probs(""), scorer.next_log_probs(""))
 
+    def test_numpy_probabilities_save_as_numbers(self):
+        # under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)", which no reader parses
+        scorer = TableScorer("ab", {"": dict(zip(["a", "b", EOS], np.array([0.25, 0.25, 0.5])))})
+        text = self._roundtrip_text(scorer)
+        assert text == f"S2SM v1 ab\n\t{EOS}\t0.5\n\ta\t0.25\n\tb\t0.25\n"
+        assert self._roundtrip_text(load_table_scorer(io.StringIO(text))) == text
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             load_table_scorer(io.StringIO("S2SM v9 ab\n"))
