@@ -237,7 +237,7 @@ class Beam:
 
     __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
                  "_last", "_length", "_hash", "_parent_hash", "_up", "_state", "_node",
-                 "_tail", "_view", "_best_prefix", "_powers", "_scores")
+                 "_tail", "_view", "_powers", "_scores")
 
     def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
                  frame_index: int = 0):
@@ -288,7 +288,7 @@ class Beam:
         self._last, self._length = last, length
         self._hash, self._parent_hash, self._up = digest, parent_digest, up
         self._state, self._node, self._tail = state, node, tail
-        self._view = self._best_prefix = self._powers = self._scores = None
+        self._view = self._powers = self._scores = None
         return self
 
     @property
@@ -302,10 +302,6 @@ class Beam:
         return self._hypothesis(0)
 
     def _prefix(self, row: int) -> str:
-        if row == 0:
-            if self._best_prefix is None:
-                self._best_prefix = _spell(self._node[0], self._tail[0])
-            return self._best_prefix
         return _spell(self._node[row], self._tail[row])
 
     def _hypothesis(self, row: int) -> Hypothesis:

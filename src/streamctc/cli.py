@@ -1,7 +1,7 @@
 """Command-line front end: offline decoding, streaming over a line protocol,
 LM training, oracle checks, metrics, simulation, and receptive-field math.
 
-Exit codes: 0 ok, 2 usage, 3 parse failure, 4 validation failure.
+Exit codes: 0 ok, 2 usage, 3 parse failure, 4 validation or I/O failure.
 Set STREAMCTC_LOG=debug (or info/warning) for diagnostics on stderr.
 """
 
@@ -137,19 +137,19 @@ def _cmd_stream(args, parser) -> int:
 
 
 def _cmd_lm_train(args, parser) -> int:
-    with open(args.corpus, "r", encoding="utf-8") as fh:
+    with opened(args.corpus, "r") as fh:
         lm = train_ngram(fh, args.alphabet, order=args.order, k=args.k)
     save_ngram(lm, args.output)
-    log.info("trained order-%d model with %d contexts", lm.order, len(lm._counts))
+    log.info("trained order-%d model with %d contexts", lm.order, len(lm._entries[0]))
     return EXIT_OK
 
 
 def _cmd_metrics(args, parser) -> int:
     pairs = []
     skipped = 0
-    with open(args.pairs, "r", encoding="utf-8") as fh:
+    with opened(args.pairs, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line:
                 continue
             fields = line.split("\t")
@@ -320,15 +320,15 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"streamctc: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, CapacityError, FileNotFoundError) as exc:
-        print(f"streamctc: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; suppress the
         # interpreter's shutdown flush complaint as well
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
+    except (ValidationError, CapacityError, OSError) as exc:
+        print(f"streamctc: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

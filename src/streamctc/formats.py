@@ -5,8 +5,8 @@ magic, then a body.  The NGLM and S2SM bodies share one format: lines of
 ``key<TAB>token<TAB>value``, with the characters of keys and the tokens
 drawn from the header alphabet plus :data:`EOS`, one entry per (key,
 token), written sorted.  This module opens a path or takes an open stream,
-checks the magic, and reads, rebuilds and writes those bodies; the module
-that owns a format checks what the values hold.
+checks the magic, and reads those bodies into entry columns and writes them
+back; the module that owns a format checks what the values hold.
 """
 
 from __future__ import annotations
@@ -28,12 +28,20 @@ EOS = "</s>"
 def opened(target, mode: str) -> Iterator[IO[str]]:
     """``target`` itself when it is an open stream, else the UTF-8 file at
     that path, opened in ``mode`` ("r" or "w") and closed on exit.  Files
-    are read with line ends untranslated and written with "\\n"."""
+    are read with line ends untranslated and written with "\\n".  A file that
+    is not UTF-8 is a ParseError at its first undecodable line."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
         return
     with open(target, mode, encoding="utf-8", newline="" if mode == "r" else "\n") as fh:
-        yield fh
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(target, "rb") as raw:  # the first line that does not round-trip
+                lines = raw.read().splitlines()
+            bad = next((n for n, line in enumerate(lines, start=1)
+                        if line.decode("utf-8", "replace").encode() != line), None)
+            raise ParseError(f"not UTF-8 text: {exc.reason}", line=bad) from exc
 
 
 def first_line(fh, what: str) -> str:
@@ -79,25 +87,16 @@ def entry_columns(lines: list[str], symbols: str):
     return list(key_index), rows, cols, fields[2::3]
 
 
-def entry_dict(keys: list, rows, cols, values: list, tokens: list[str]) -> dict:
-    """``{key: {token: value}}`` in file order from the columns of
-    :func:`entry_columns`, with ``tokens[c]`` the token of column c."""
-    out: dict = {key: {} for key in keys}
-    for r, c, value in zip(rows.tolist(), cols.tolist(), values):
-        out[keys[r]][tokens[c]] = value
-    return out
-
-
-def write_entries(sink, header: str, table: dict) -> None:
-    """Write ``header`` and then a body line per entry of ``table``, a
-    ``{key: {token: value}}`` dict whose keys are strings or tuples of
-    characters, sorted by key and then token."""
+def write_entries(sink, header: str, keys: list[str], rows, cols, values: list,
+                  tokens: list[str]) -> None:
+    """Write ``header`` and then the body line of every entry j: key
+    ``keys[rows[j]]``, token ``tokens[cols[j]]`` and value ``values[j]``,
+    the columns of :func:`entry_columns`, sorted by key and then token."""
+    entries = sorted(zip(map(keys.__getitem__, rows.tolist()),
+                         map(tokens.__getitem__, cols.tolist()), values))
     with opened(sink, "w") as fh:
         fh.write(f"{header}\n")
-        for key in sorted(table):
-            dist = table[key]
-            for tok in sorted(dist):
-                fh.write(f"{''.join(key)}\t{tok}\t{dist[tok]}\n")
+        fh.writelines(f"{key}\t{tok}\t{value}\n" for key, tok, value in entries)
 
 
 def scan_entries(lines: list[str]) -> Iterator[tuple[int, list[str]]]:

@@ -13,9 +13,9 @@ automaton over the stored contexts, built at first use: advancing and
 scoring are two array reads each, and the batched methods read the rows
 and successors of many states with two fancy indexes each.
 
-:mod:`streamctc.formats` reads, rebuilds and writes the NGLM body; this
-module checks what its values mean: the empty context is there, and every
-count is an int above 0.
+:mod:`streamctc.formats` reads and writes the NGLM body as entry columns,
+which a model keeps however it was built; this module checks what the
+values mean: the empty context is there, and every count is an int above 0.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .formats import (EOS, entry_columns, entry_dict, first_line, header_fields, opened,
-                      scan_entries, write_entries)
+from .formats import (EOS, entry_columns, first_line, header_fields, opened, scan_entries,
+                      write_entries)
 
 NGLM_MAGIC = "NGLM v1"
 
@@ -152,10 +152,11 @@ class NgramLm(CharLm):
     every later row).  It moves by one lookup in a successor table, EOS
     included, and its row is the row of its longest stored suffix.
 
-    The constructor checks every entry once and builds the whole table, one
-    read-only log-probability row per stored context; the automaton is built
-    at first use.  Nothing changes after that, so instances may be shared
-    across threads.
+    The constructor checks every entry once, as the reader does (a count is
+    ``operator.index(c)`` above 0), keeps the entries as columns and builds
+    the whole table, one read-only log-probability row per stored context;
+    the automaton is built at first use.  Nothing changes after that, so
+    instances may be shared across threads.
     """
 
     def __init__(self, symbols: str, order: int, k: float,
@@ -169,20 +170,25 @@ class NgramLm(CharLm):
         values: list[int] = []
         for i, (ctx, dist) in enumerate(counts.items()):
             self._check_context(ctx)
+            if not self._index.keys() >= set(ctx):
+                raise ValidationError(f"context {ctx!r} uses characters outside the alphabet")
             for tok, c in dist.items():
                 cols.append(self.index_of(tok))
-                if not c > 0:
+                try:
+                    values.append(operator.index(c))
+                except TypeError:
+                    raise ValidationError(
+                        f"count for {ctx!r} -> {tok!r} must be an int, got {c!r}") from None
+                if not values[-1] > 0:
                     raise ValidationError(f"count for {ctx!r} -> {tok!r} must be positive")
             if not dist:
                 raise ValidationError(f"context {ctx!r} has no counts")
             rows += [i] * len(dist)
-            values += dist.values()
-        self._fill(list(counts), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+        contexts = list(map("".join, counts))
+        if len(set(contexts)) < len(contexts):  # ("a",) and "a" are one context
+            raise ValidationError("counts give a context twice")
+        self._fill(contexts, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                    values)
-        self._counts = counts
-        # a context with a token outside the alphabet is never reached
-        self._contexts = ["".join(ctx) if self._index.keys() >= set(ctx) else None
-                          for ctx in counts]
 
     @classmethod
     def _from_columns(cls, symbols: str, order: int, k: float,
@@ -200,8 +206,6 @@ class NgramLm(CharLm):
             for ctx in contexts:
                 lm._check_context(tuple(ctx))
         lm._fill(contexts, rows, cols, counts)
-        lm._entries = (contexts, rows, cols, counts)
-        lm._contexts = contexts
         return lm
 
     def _set_order_and_k(self, order: int, k: float) -> None:
@@ -216,10 +220,11 @@ class NgramLm(CharLm):
         if len(ctx) >= self.order:
             raise ValidationError(f"context {ctx!r} too long for order {self.order}")
 
-    def _fill(self, contexts, rows: np.ndarray, cols: np.ndarray, counts) -> None:
-        """Row i is log(k + count) - log(total + k * V) for context i, each
-        count and total converted to float as Python would, and each
-        denominator's log taken by ``math.log``."""
+    def _fill(self, contexts: list[str], rows: np.ndarray, cols: np.ndarray,
+              counts: list[int]) -> None:
+        """Keep the entries and build the table: row i is log(k + count) -
+        log(total + k * V) for context i, each count and total converted to
+        float as Python would, and each denominator's log taken by ``math.log``."""
         try:
             values = np.fromiter(counts, dtype=float, count=len(counts))
             totals = np.bincount(rows, weights=values, minlength=len(contexts))
@@ -243,11 +248,12 @@ class NgramLm(CharLm):
         table -= log_denoms[:, None]
         table.flags.writeable = False
         self._table = table
+        self._entries = (contexts, rows, cols, counts)
 
     @functools.cached_property
     def _automaton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(succ, hop, row_of)`` over P, the stored contexts that use only
-        alphabet characters (no other is reachable) and all their prefixes.
+        """``(succ, hop, row_of)`` over P, the stored contexts and all their
+        prefixes.
 
         State i < len(table) is the context of table row i, so the initial
         state needs no build; the prefixes not stored come after.
@@ -261,12 +267,9 @@ class NgramLm(CharLm):
         longer state in P moves as its failure link does, so ``succ`` holds
         rows only for the others, and ``hop`` points a state to its row.
         """
-        stored = len(self._contexts)
-        state_of = dict(zip(self._contexts, range(stored)))
-        states = list(self._contexts)
-        if None in state_of:  # never reached: parked at depth 0, with no children
-            del state_of[None]
-            states = [ctx or "" for ctx in states]
+        states = list(self._entries[0])
+        stored = len(states)
+        state_of = dict(zip(states, range(stored)))
         empty = self.initial_state()
         cut = operator.itemgetter(slice(None, -1))
         parents = list(map(cut, states))
@@ -305,15 +308,8 @@ class NgramLm(CharLm):
             table.flags.writeable = False
         return succ, hop, row_of
 
-    @functools.cached_property
-    def _counts(self) -> dict[tuple[str, ...], dict[str, int]]:
-        """``{context: {token: count}}`` in file order, built when first read
-        (by :func:`save_ngram`) for a model loaded from a file."""
-        contexts, rows, cols, counts = self._entries
-        return entry_dict(list(map(tuple, contexts)), rows, cols, counts, self._tokens)
-
     def initial_state(self) -> int:
-        return self._contexts.index("")
+        return self._entries[0].index("")
 
     def advance(self, state, ch: str) -> int:
         succ, hop, _ = self._automaton
@@ -388,7 +384,8 @@ def train_ngram(lines: Iterable[str], symbols: str, order: int = 3,
 
 def save_ngram(lm: NgramLm, sink) -> None:
     """Write the versioned text format: header, then context/char/count lines."""
-    write_entries(sink, f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}", lm._counts)
+    write_entries(sink, f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}", *lm._entries,
+                  lm._tokens)
 
 
 def load_ngram(source) -> NgramLm:

@@ -31,15 +31,13 @@ stop rests on them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import ranked_cut
 from .errors import ParseError, ValidationError
-from .formats import (entry_columns, entry_dict, first_line, header_fields, opened,
-                      scan_entries, write_entries)
+from .formats import entry_columns, first_line, header_fields, opened, scan_entries, write_entries
 from .lm import CharLm, UniformLm, check_log_rows
 
 S2SM_MAGIC = "S2SM v1"
@@ -76,44 +74,51 @@ class TableScorer(CharLm):
     visible characters plus end-of-sentence, so the scorer is total.  States
     are the prefix strings themselves, so :meth:`advance_many` is one
     object-array concatenation.  Character LMs satisfy the same
-    protocol and can stand in as scorers in tests.  The constructor builds
+    protocol and can stand in as scorers in tests.  The constructor checks
+    the table as the reader does, keeps its entries as columns, and builds
     every prefix's read-only log-probability row at once.
     """
 
     def __init__(self, symbols: str, table: dict[str, dict[str, float]]):
         super().__init__(symbols)
         probs = np.zeros((len(table), self.vocab_size))
-        for row, (prefix, dist) in zip(probs, table.items()):
-            for ch in prefix:
-                if ch not in self._index:
-                    raise ValidationError(
-                        f"table prefix {prefix!r} uses characters outside the alphabet"
-                    )
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        for i, (row, (prefix, dist)) in enumerate(zip(probs, table.items())):
+            if not isinstance(prefix, str):  # the reader's prefixes are strings
+                raise ValidationError(f"table prefix {prefix!r} is not a string")
+            if not self._index.keys() >= set(prefix):
+                raise ValidationError(
+                    f"table prefix {prefix!r} uses characters outside the alphabet")
             for ch, p in dist.items():
                 if not 0.0 <= p <= 1.0:
                     raise ValidationError(f"probability {p!r} out of range")
-                row[self.index_of(ch)] = p
+                cols.append(self.index_of(ch))
+                values.append(float(p))
+                row[cols[-1]] = values[-1]
             if abs(row.sum() - 1.0) > DIST_SUM_TOL:
                 raise ValidationError(
                     f"distribution for prefix {prefix!r} sums to {row.sum()!r}"
                 )
-        self._set_rows(list(table), probs)
-        # kept for serialization round-trips
-        self._table = {p: dict(d) for p, d in table.items()}
+            rows += [i] * len(dist)
+        self._set_rows(list(table), probs,
+                       (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), values))
 
     @classmethod
     def _from_columns(cls, symbols: str, prefixes: list[str], probs: np.ndarray,
-                      entries: tuple[list[int], list[int], list[float]]) -> "TableScorer":
+                      entries: tuple[np.ndarray, np.ndarray, list[float]]) -> "TableScorer":
         """The scorer whose row i holds ``probs[i]`` for ``prefixes[i]``;
-        the reader has checked the rows.  ``entries`` are the row, column
-        and probability of each file line, kept for :func:`save_table_scorer`."""
+        the reader has checked the rows."""
         scorer = cls.__new__(cls)
         CharLm.__init__(scorer, symbols)
-        scorer._set_rows(prefixes, probs)
-        scorer._entries = (prefixes, *entries)
+        scorer._set_rows(prefixes, probs, entries)
         return scorer
 
-    def _set_rows(self, prefixes: list[str], probs: np.ndarray) -> None:
+    def _set_rows(self, prefixes: list[str], probs: np.ndarray,
+                  entries: tuple[np.ndarray, np.ndarray, list[float]]) -> None:
+        """Keep the entries, for :func:`save_table_scorer`, and build the rows."""
+        self._entries = (prefixes, *entries)
         self._token_objects = np.array(self._tokens, dtype=object)
         self._uniform = np.full(self.vocab_size, -np.log(self.vocab_size))
         self._uniform.flags.writeable = False
@@ -121,12 +126,6 @@ class TableScorer(CharLm):
             np.log(probs, out=probs)
         probs.flags.writeable = False
         self._rows = dict(zip(prefixes, probs))
-
-    @functools.cached_property
-    def _table(self) -> dict[str, dict[str, float]]:
-        """``{prefix: {token: probability}}`` in file order, built when first
-        read (by :func:`save_table_scorer`) for a scorer loaded from a file."""
-        return entry_dict(*self._entries, self._tokens)
 
     def initial_state(self) -> str:
         return ""
@@ -149,7 +148,7 @@ class TableScorer(CharLm):
 
 
 def save_table_scorer(scorer: TableScorer, sink) -> None:
-    write_entries(sink, f"{S2SM_MAGIC} {scorer.symbols}", scorer._table)
+    write_entries(sink, f"{S2SM_MAGIC} {scorer.symbols}", *scorer._entries, scorer._tokens)
 
 
 def load_table_scorer(source) -> TableScorer:

@@ -5,15 +5,15 @@ The decoder receives one emission row per input frame and advances its beam
 by exactly one beam step per row.  ``beam_step`` is pure, so the beam after
 frame t is the offline beam over every row seen so far; it supplies the
 lookahead hypothesis, as if the utterance ended now.  Commits trail the
-lookahead by ``lag`` frames: the committed beam is the one from frame
-t - lag, kept in a window of the last ``lag + 1`` beams, and never changes
-for that frame.  Flushing commits the latest beam, so the final transcript
-is exactly the offline beam-search result.
+lookahead by ``lag`` frames: the committed prefix is the best prefix of the
+beam from frame t - lag, and never changes for that frame.  Flushing
+commits the latest beam, so the final transcript is exactly the offline
+beam-search result.
 
-The beams in the window share their prefix nodes, and each spells only its
-best prefix, once, when a push first shows it; the committed prefix is then
-the one spelled ``lag`` pushes earlier.  The word completion starts from the
-best hypothesis's LM state.
+A stream holds only its latest beam, and a window of the (best prefix,
+score) each of the last ``lag + 1`` beams showed; the committed prefix is
+the oldest in the window, spelled ``lag`` pushes earlier.  The word
+completion starts from the best hypothesis's LM state.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .beam import Beam, BeamConfig, beam_init, beam_step
+from .beam import BeamConfig, beam_init, beam_step
 from .ctc import Alphabet
 from .errors import ValidationError
 from .lm import CharLm, UniformLm
@@ -118,45 +118,42 @@ class StreamingDecoder:
         self.lm = lm if lm is not None else UniformLm(alphabet.symbols)
         # every symbol ties under the uniform LM, so it has nothing to say
         self.completion_chars = completion_chars if lm is not None else 0
-        # beams after frames t - lag .. t: [0] is committed, [-1] the lookahead
-        self._beams: deque[Beam] = deque(
-            [beam_init(alphabet, self.config, self.lm)], maxlen=lag + 1
-        )
-        self.frames_seen = 0
+        self._beam = beam = beam_init(alphabet, self.config, self.lm)
+        # (best prefix, score) after frames t - lag .. t: [0] is committed
+        self._shown = deque([(beam._prefix(0), beam._score(0, self.config.beta))],
+                            maxlen=lag + 1)
 
     @property
-    def committed_beam(self) -> Beam:
-        return self._beams[0]
+    def frames_seen(self) -> int:
+        return self._beam.frame_index
 
     def push(self, frame) -> IncrementalOutput:
         """Ingest one emission row with one beam step; returns the refreshed
         display state.  The committed prefix trails the hypothesis by ``lag``
         frames."""
-        beam = beam_step(self._beams[-1], frame, self.config, self.lm)
-        self._beams.append(beam)
-        self.frames_seen += 1
-        hypothesis = beam._prefix(0)
+        self._beam = beam = beam_step(self._beam, frame, self.config, self.lm)
+        hypothesis, score = beam._prefix(0), beam._score(0, self.config.beta)
+        self._shown.append((hypothesis, score))
         return IncrementalOutput(
-            frame_index=self.frames_seen,
-            committed=self._beams[0]._prefix(0),
+            frame_index=beam.frame_index,
+            committed=self._shown[0][0],
             hypothesis=hypothesis,
             completion=lm_complete_word(
                 hypothesis, self.lm, self.completion_chars, state=beam._state[0]
             ),
-            score=beam._score(0, self.config.beta),
+            score=score,
         )
 
     def flush(self) -> str:
         """Commit the latest beam without a beam step; the result equals the
         offline decode."""
-        latest = self._beams[-1]
-        self._beams.clear()
-        self._beams.append(latest)
-        return latest._prefix(0)
+        latest = self._shown[-1]
+        self._shown.clear()
+        self._shown.append(latest)
+        return latest[0]
 
     def best_committed(self) -> tuple[str, float]:
-        committed = self._beams[0]
-        return committed._prefix(0), committed._score(0, self.config.beta)
+        return self._shown[0]
 
 
 def changes_per_frame(outputs: Sequence[IncrementalOutput | str]) -> float:

@@ -232,3 +232,24 @@ def reference_load_table_scorer(source) -> ReferenceTableScorer:
     finally:
         if own:
             fh.close()
+
+
+def _sorted_text(header: str, table: dict) -> str:
+    """``header`` and a line per entry of a ``{key: {token: value}}`` dict,
+    keys joined to strings and values written by ``str``, sorted by key and
+    then token."""
+    lines = [header]
+    for key in sorted(table, key="".join):
+        dist = table[key]
+        lines += [f"{''.join(key)}\t{tok}\t{dist[tok]}" for tok in sorted(dist)]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def reference_saved_ngram(lm: ReferenceNgramLm) -> str:
+    """The NGLM file of ``lm``."""
+    return _sorted_text(f"{NGLM_MAGIC} {lm.order} {lm.k!r} {lm.symbols}", lm._counts)
+
+
+def reference_saved_table_scorer(scorer: ReferenceTableScorer) -> str:
+    """The S2SM file of ``scorer``."""
+    return _sorted_text(f"{S2SM_MAGIC} {scorer.symbols}", scorer._table)

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +457,76 @@ class TestParserReuse:
         for argv, got in zip(calls, reused):
             cli.build_parser.cache_clear()
             assert run(capsys, argv, body, monkeypatch) == got
+
+
+def spoil(path: Path, line: int) -> str:
+    """A copy of ``path`` with a byte that is not UTF-8 at the start of
+    ``line``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    bad = path.with_name(f"bad-{path.name}")
+    bad.write_bytes(b"".join(lines))
+    return str(bad)
+
+
+class TestFileFaults:
+    """Every fault of a named file has its exit code: bytes that are not
+    UTF-8 are a parse failure (3) that names their line, and a path that
+    cannot be opened exits 4."""
+
+    @pytest.fixture
+    def files(self, tmp_path, demo_em, demo_lm):
+        texts = {"s2s": "S2SM v1 hi \n\th\t1.0\nh\ti\t1.0\nhi\t</s>\t1.0\n",
+                 "corpus": "hi\nhi hi\nih\n",
+                 "pairs": "hi\thi\nhi hi\thi\nih\tih\n"}
+        paths = {"em": demo_em, "lm": demo_lm, "dir": tmp_path, "out": tmp_path / "out"}
+        for name, text in texts.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text, encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("route", ["decode", "oracle", "lm", "s2s-decode", "lm-train",
+                                       "metrics"])
+    def test_non_utf8_input_is_parse_exit_naming_its_line(self, capsys, files, route):
+        argv = {
+            "decode": ["decode", spoil(files["em"], 3), "--alpha", "0"],
+            "oracle": ["oracle", spoil(files["em"], 3)],
+            "lm": ["decode", str(files["em"]), "--lm", spoil(files["lm"], 3)],
+            "s2s-decode": ["s2s-decode", spoil(files["s2s"], 3), "--alpha", "0"],
+            "lm-train": ["lm-train", spoil(files["corpus"], 3), "-o", str(files["out"])],
+            "metrics": ["metrics", spoil(files["pairs"], 3)],
+        }[route]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "streamctc: parse error: line 3: not UTF-8 text: invalid start byte\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["decode", "{dir}", "--alpha", "0"],
+        ["decode", "{em}", "--lm", "{dir}"],
+        ["oracle", "{dir}"],
+        ["s2s-decode", "{dir}", "--alpha", "0"],
+        ["lm-train", "{dir}", "-o", "{out}"],
+        ["metrics", "{dir}"],
+        ["lm-train", "{corpus}", "-o", "{dir}"],
+        ["simulate", "hi", "--alphabet", "hi ", "-o", "{dir}"],
+    ], ids=["decode", "lm", "oracle", "s2s-decode", "lm-train", "metrics", "lm-train-output",
+            "simulate-output"])
+    def test_directory_is_validation_exit(self, capsys, files, argv):
+        code, out, err = run(capsys, [arg.format(**files) for arg in argv])
+        assert (code, out) == (4, "")
+        assert err.startswith("streamctc: [Errno 21] Is a directory: ")
+
+    def test_closed_pipe_exits_ok(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streamctc", "simulate", "hi " * 1000, "--alphabet", "hi "],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        proc.stdout.close()  # as `| head -c 0` would
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestVersion:

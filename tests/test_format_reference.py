@@ -5,6 +5,7 @@ rejected with the same exception, message and line."""
 
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,8 @@ from reference_formats import (
     ReferenceTableScorer,
     reference_load_ngram,
     reference_load_table_scorer,
+    reference_saved_ngram,
+    reference_saved_table_scorer,
 )
 
 ALPHABETS = st.sampled_from(["ab", "cab ", "hi'", DEFAULT_ALPHABET])
@@ -97,7 +100,6 @@ class TestValidModels:
         lm = load_ngram(io.StringIO(text))
         ref = reference_load_ngram(io.StringIO(text))
         built = NgramLm(ref.symbols, ref.order, ref.k, ref._counts)
-        assert list(lm._counts) == list(ref._counts) and lm._counts == ref._counts
         # every stored context, reached by advance from the initial state
         for ctx in ref._counts:
             expected = hexes(ref.next_log_probs(ctx))
@@ -110,7 +112,8 @@ class TestValidModels:
             assert rows_along(lm, walk) == expected
             assert rows_along(built, walk) == expected
         first = saved(save_ngram, lm)
-        assert first == saved(save_ngram, ref)
+        assert first == reference_saved_ngram(ref)
+        assert saved(save_ngram, built) == first
         assert saved(save_ngram, load_ngram(io.StringIO(first))) == first
 
     @settings(max_examples=150, deadline=None)
@@ -119,30 +122,32 @@ class TestValidModels:
         scorer = load_table_scorer(io.StringIO(text))
         ref = reference_load_table_scorer(io.StringIO(text))
         built = TableScorer(ref.symbols, ref._table)
-        assert list(scorer._table) == list(ref._table) and scorer._table == ref._table
         for prefix in [*ref._table, "never stored"]:
             expected = hexes(ref.next_log_probs(prefix))
             assert hexes(scorer.next_log_probs(prefix)) == expected
             assert hexes(built.next_log_probs(prefix)) == expected
         first = saved(save_table_scorer, scorer)
-        assert first == saved(save_table_scorer, ref)
+        assert first == reference_saved_table_scorer(ref)
+        assert saved(save_table_scorer, built) == first
         assert saved(save_table_scorer, load_table_scorer(io.StringIO(first))) == first
 
     def test_dict_constructors_match_the_reference(self):
-        counts = {(): {"a": 3, EOS: 2**60 + 1}, ("a",): {"b": 1}, ("z",): {"a": 0.5}}
+        counts = {(): {"a": 3, EOS: 2**60 + 1}, ("a",): {"b": 1}}
         lm = NgramLm("ab", 2, 0.25, counts)
         ref = ReferenceNgramLm("ab", 2, 0.25, counts)
         for walk in ["", "a", "b", "ab", "ba", "aab", ["a", EOS], ["b", EOS, "a"]]:
             assert rows_along(lm, walk) == rows_along(ref, walk)
-        # ("z",) is outside the alphabet, so no walk reaches it: it is kept
-        # as counted and written back as it came
-        assert lm._counts == ref._counts == counts
-        assert saved(save_ngram, lm) == saved(save_ngram, ref)
+        assert saved(save_ngram, lm) == reference_saved_ngram(ref)
+        # the reader rejects a context outside the alphabet and a count that
+        # is not an int, so the constructor does too
+        with pytest.raises(ValidationError):
+            NgramLm("ab", 2, 0.25, {**counts, ("z",): {"a": 0.5}})
         table = {"": {"a": 0.25, "b": 0.75}, "ab": {EOS: 1.0, "a": 0.0}}
         scorer = TableScorer("ab", table)
         ref_scorer = ReferenceTableScorer("ab", table)
         for prefix in ["", "ab", "b"]:
             assert hexes(scorer.next_log_probs(prefix)) == hexes(ref_scorer.next_log_probs(prefix))
+        assert saved(save_table_scorer, scorer) == reference_saved_table_scorer(ref_scorer)
 
 
 class TestAutomaton:
@@ -170,14 +175,16 @@ class TestAutomaton:
 
 
 def outcome(load, text):
-    """("ok", rows) or (exception type, message, line)."""
+    """("ok", rows) or (exception type, message, line); the rows are those
+    of the body's keys, in file order."""
     try:
         model = load(io.StringIO(text))
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+    keys = dict.fromkeys(line.split("\t")[0] for line in text.split("\n")[1:] if line)
     if hasattr(model, "order"):
-        return "ok", [rows_along(model, ctx)[-1] for ctx in model._counts]
-    return "ok", [hexes(model.next_log_probs(key)) for key in model._table]
+        return "ok", [rows_along(model, ctx)[-1] for ctx in keys]
+    return "ok", [hexes(model.next_log_probs(key)) for key in keys]
 
 
 @st.composite

@@ -21,6 +21,12 @@ from streamctc import (
 )
 
 
+def saved(lm) -> str:
+    buf = io.StringIO()
+    save_ngram(lm, buf)
+    return buf.getvalue()
+
+
 class TestUniformLm:
     def test_constant_distribution(self):
         lm = UniformLm("ab")
@@ -39,10 +45,10 @@ class TestUniformLm:
 class TestTraining:
     def test_bigram_counts_ab(self):
         lm = train_ngram(["ab"], "ab", order=2)
-        assert set(lm._counts) == {(), ("a",), ("b",)}
-        assert lm._counts[("a",)] == {"b": 1}
-        assert lm._counts[("b",)] == {EOS: 1}
-        assert lm._counts[()] == {"a": 1, "b": 1, EOS: 1}
+        assert saved(lm).split("\n", 1)[1] == (
+            f"\t{EOS}\t1\n\ta\t1\n\tb\t1\n"  # the empty context
+            f"a\tb\t1\n"
+            f"b\t{EOS}\t1\n")
 
     def test_bigram_conditional_from_abab(self):
         # context "a" appears twice, both followed by "b": (2+1)/(2+1*3) = 0.6
@@ -177,7 +183,7 @@ class TestSerialization:
         save_ngram(lm, path)
         reloaded = NgramLm.load(path)
         assert reloaded.order == lm.order
-        assert reloaded._counts == lm._counts
+        assert self._roundtrip(reloaded) == self._roundtrip(lm)
 
     def test_truncated_file_is_parse_error(self):
         lm = train_ngram(["abab"], "ab", order=2)
@@ -234,19 +240,42 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             NgramLm("ab", 1, k, {(): {"a": 1}})
 
-    @pytest.mark.parametrize("dist", [{"a": 10**400}, {"a": 10**308, "b": 10**308},
-                                      {"a": 1.0, "b": math.inf}],
-                             ids=["count-1e400", "total-2e308", "count-inf"])
+    @pytest.mark.parametrize("dist", [{"a": 10**400}, {"a": 10**308, "b": 10**308}],
+                             ids=["count-1e400", "total-2e308"])
     def test_rejects_counts_that_overflow_a_float(self, dist):
         with pytest.raises(ValidationError, match="overflow a float"):
             NgramLm("ab", 1, 1.0, {(): dist})
+
+    def test_bool_and_numpy_counts_are_the_ints_they_are(self):
+        lm = NgramLm("ab", 1, 1.0, {(): {"a": True, "b": np.int64(3)}})
+        ints = NgramLm("ab", 1, 1.0, {(): {"a": 1, "b": 3}})
+        assert saved(lm) == saved(ints) == "NGLM v1 1 1.0 ab\n\ta\t1\n\tb\t3\n"
+        assert np.array_equal(lm.next_log_probs(0), ints.next_log_probs(0))
+
+    def test_saved_text_ignores_later_changes_to_the_counts(self):
+        counts = {(): {"a": 5, "b": 1}}
+        lm = NgramLm("ab", 1, 1.0, counts)
+        counts[()]["a"] = 50
+        counts[("a",)] = {"b": 2}
+        assert saved(lm) == "NGLM v1 1 1.0 ab\n\ta\t5\n\tb\t1\n"
 
     @pytest.mark.parametrize("counts,message", [
         ({(): {"a": 1}, ("a", "b"): {"a": 1}}, "context ('a', 'b') too long for order 2"),
         ({(): {"a": 1, "b": 0}}, "count for () -> 'b' must be positive"),
         ({(): {"a": 1}, ("b",): {"a": -2}}, "count for ('b',) -> 'a' must be positive"),
         ({(): {"a": 1}, ("a",): {}}, "context ('a',) has no counts"),
-    ], ids=["context-too-long", "zero-count", "negative-count", "empty-distribution"])
+        # what the reader rejects: a context outside the alphabet, a count
+        # that is not an int, whole or not, and one context given twice
+        ({(): {"a": 1}, ("z",): {"a": 1}}, "context ('z',) uses characters outside the alphabet"),
+        ({(): {"a": 1}, (EOS,): {"a": 1}},
+         "context ('</s>',) uses characters outside the alphabet"),
+        ({(): {"a": 0.5}}, "count for () -> 'a' must be an int, got 0.5"),
+        ({(): {"a": 1, "b": 2.0}}, "count for () -> 'b' must be an int, got 2.0"),
+        ({(): {"a": 1.0, "b": math.inf}}, "count for () -> 'a' must be an int, got 1.0"),
+        ({(): {"a": 1}, ("a",): {"a": 1}, "a": {"b": 1}}, "counts give a context twice"),
+    ], ids=["context-too-long", "zero-count", "negative-count", "empty-distribution",
+            "context-z", "context-eos", "count-0.5", "count-2.0", "count-inf",
+            "context-twice"])
     def test_rejects_bad_contexts_and_counts(self, counts, message):
         with pytest.raises(ValidationError) as exc:
             NgramLm("ab", 2, 1.0, counts)

@@ -172,18 +172,20 @@ class TestStreamPush:
         assert dec.frames_seen == 0
 
     def test_committed_prefix_is_stable(self):
+        # the committed prefix at push t is the hypothesis at push t - lag,
+        # or "" before that
         rng = np.random.default_rng(31)
         ab = Alphabet("ab")
         em = random_emissions(rng, ab, 25)
-        dec = StreamingDecoder(ab, BeamConfig(width=4), lag=3)
-        committed_beams = []
-        for row in em.probs:
-            dec.push(row)
-            committed_beams.append(dec.committed_beam)
-        # each committed beam is a beam_step successor of the previous one:
-        # frame indices advance by at most one and never rewind
-        indices = [b.frame_index for b in committed_beams]
-        assert indices == sorted(indices)
+        for lag in [0, 1, 3]:
+            dec = StreamingDecoder(ab, BeamConfig(width=4), lag=lag)
+            outs = [dec.push(row) for row in em.probs]
+            for t, out in enumerate(outs):
+                assert out.committed == (outs[t - lag].hypothesis if t >= lag else "")
+                assert out.frame_index == t + 1
+            assert dec.best_committed() == (outs[-1 - lag].hypothesis, outs[-1 - lag].score)
+            assert dec.flush() == outs[-1].hypothesis
+            assert dec.best_committed() == (outs[-1].hypothesis, outs[-1].score)
 
     def test_dimension_mismatch(self):
         dec = StreamingDecoder(Alphabet("ab"), BeamConfig(width=2), lag=1)

@@ -108,6 +108,12 @@ class TestTableScorer:
         with pytest.raises(ValidationError):
             TableScorer("ab", {"": {"a": 0.5, "b": 0.6}})
 
+    def test_rejects_a_prefix_that_is_not_a_string(self):
+        # it would save as "('a',)", a prefix the reader rejects
+        with pytest.raises(ValidationError) as exc:
+            TableScorer("ab", {("a",): {"a": 1.0}})
+        assert str(exc.value) == "table prefix ('a',) is not a string"
+
     def test_normalization_invariant(self):
         rng = np.random.default_rng(0)
         scorer = random_scorer(rng)
