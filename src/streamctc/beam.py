@@ -18,12 +18,11 @@ prefixes whose total probability is zero.
 
 A beam is a set of arrays, one entry per hypothesis: both buckets and their
 sum, the final character, the length, the LM state and accumulated LM
-log-probability, a hash of the prefix and of the prefix less its last
-character, the row holding that parent prefix (or -1), and the prefix
-itself as a pointer node.  A node is ``(parent node, chunk)`` for every
-full chunk of ``_CHUNK`` characters, plus a tail string of the rest, so
-hypotheses share their common history and the memory is bounded by W
-plus the transcript.
+log-probability, a hash of the prefix, the row holding the prefix less its
+last character (or -1), and the prefix itself as a pointer node.  A node
+is ``(parent node, chunk)`` for every full chunk of ``_CHUNK`` characters,
+plus a tail string of the rest, so hypotheses share their common history
+and the memory is bounded by W plus the transcript.
 
 A step is a fixed number of numpy operations over these arrays and the
 W x |A| extension grid, whose cost does not grow with the transcript, plus
@@ -34,7 +33,8 @@ the hypothesis whose parent is s, and absorbs s's extension by c.  They
 are carried through the cut: an extension's parent is the hypothesis it
 extends, and a hypothesis that stays keeps its parent, when that
 survives.  Only a parent that had left the beam and comes back as an
-extension is looked up, by hash, and checked on the nodes.
+extension is looked up, by hash (inverted from the child's), and checked
+on the nodes.
 :func:`ranked_cut`, shared with the seq2seq search in ``s2s.py``, keeps
 the W best by (-score, prefix) as a set with the best first: it partitions
 the scores in numpy and spells prefixes only for the entries that tie
@@ -44,9 +44,8 @@ advance the LM, in one batched call.  Prefix strings are spelled for
 outputs: :attr:`Beam.best` is row 0, and :attr:`Beam.hypotheses` gives
 the hypotheses in (-score, prefix) order, sorted when first read.
 
-``beam_step`` is pure: nothing the input beam holds changes (it may keep a
-table of length powers for the next step), so independent decodes can share
-beams, and the streaming decoder's beam after frame t is
+``beam_step`` is pure: it writes nothing to the input beam, so independent
+decodes can share beams, and the streaming decoder's beam after frame t is
 exactly the offline beam over the same rows.  It rejects emission rows that
 are not finite, in [0, 1] and summing to 1, and LM rows holding NaN or a
 log-probability above 0, whatever route they came by.
@@ -69,6 +68,7 @@ from .lm import CharLm, UniformLm, check_log_rows
 
 _CHUNK = 64  # prefix characters per shared node
 _HASH_MUL = 0x9E3779B97F4A7C15  # prefix hash: h(s + c) = h(s) * _HASH_MUL + index(c) + 1
+_HASH_INV = pow(_HASH_MUL, -1, 2**64)  # _HASH_MUL is odd, so the hash step can be undone
 _COLLAPSED = "beam collapsed: the emission row assigns no mass to any reachable prefix"
 
 
@@ -101,19 +101,14 @@ def normalized_score(log_prob: float, length: int, beta: float) -> float:
     return log_prob / max(1, length) ** beta
 
 
-def _denominators(beta: float, length: np.ndarray, table: np.ndarray | None):
-    """``max(1, k) ** beta`` for k in ``length`` and in ``length + 1``, and
-    the table of ``max(1, k) ** beta`` they are read from: ``table``, or a
-    longer one when it is None or too short.  Each entry is Python's ``**``
-    as :func:`normalized_score` takes it (numpy's power differs from it in
-    the last bit for some k)."""
-    try:
-        return table[length], table[length + 1], table
-    except (TypeError, IndexError):  # no table yet, or too short
-        size = 2 * int(length.max()) + 64
-        table = np.fromiter((max(1, k) ** beta for k in range(size)), dtype=np.float64,
-                            count=size)
-        return table[length], table[length + 1], table
+@functools.lru_cache(maxsize=16)
+def _length_powers(beta: float, size: int) -> np.ndarray:
+    """``max(1, k) ** beta`` for k < ``size``, each Python's ``**`` as
+    :func:`normalized_score` takes it (numpy's power differs from it in the
+    last bit for some k).  Read-only: every step with that beta shares it."""
+    table = np.fromiter((max(1, k) ** beta for k in range(size)), dtype=np.float64, count=size)
+    table.flags.writeable = False
+    return table
 
 
 def _prefix_order(ks: np.ndarray, prefixes_of) -> list[int]:
@@ -210,12 +205,20 @@ def _spell_apart(beam: "Beam", rows: list[int]) -> list[str]:
 
 @functools.lru_cache(maxsize=16)
 def _symbol_arrays(symbols: str) -> tuple[np.ndarray, np.ndarray]:
-    """The symbols as objects, and each symbol's hash digit, its index + 1."""
+    """The symbols as objects, and the hash digits, index + 1, of the
+    symbols and of the empty prefix's final-character column."""
     arrays = (np.fromiter(symbols, dtype=object, count=len(symbols)),
-              np.arange(1, len(symbols) + 1, dtype=np.uint64))
+              np.arange(1, len(symbols) + 2, dtype=np.uint64))
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _parent_hashes(digest: np.ndarray, last: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The hash of each prefix less its final character ``last``: the hash
+    step undone, ``(h - digits[last]) * _HASH_INV``.  An empty prefix gets
+    a value that no check on the nodes matches."""
+    return (digest - digits[last]) * np.uint64(_HASH_INV)
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,14 +239,14 @@ class Beam:
     """
 
     __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
-                 "_last", "_length", "_hash", "_parent_hash", "_up", "_state", "_node",
-                 "_tail", "_view", "_powers", "_scores")
+                 "_last", "_length", "_hash", "_up", "_state", "_node", "_tail", "_view",
+                 "_scores")
 
     def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
                  frame_index: int = 0):
         hyps = tuple(hypotheses)
         index = alphabet._index
-        nodes, tails, hashes, parent_hashes, lasts = [], [], [], [], []
+        nodes, tails, hashes, lasts = [], [], [], []
         shared = {}  # (id of parent node, chunk) -> node, so prefixes share history
         row_of = {}
         for hyp in hyps:
@@ -252,11 +255,10 @@ class Beam:
             if prefix in row_of:
                 raise ValidationError(f"beam holds the prefix {prefix!r} twice")
             row_of[prefix] = len(row_of)
-            digest = parent = 0
+            digest = 0
             for ch in prefix:
-                parent, digest = digest, (digest * _HASH_MUL + index[ch] + 1) % 2**64
+                digest = (digest * _HASH_MUL + index[ch] + 1) % 2**64
             hashes.append(digest)
-            parent_hashes.append(parent)
             lasts.append(index[prefix[-1]] if prefix else len(alphabet.symbols))
             node = None
             cut = len(prefix) - len(prefix) % _CHUNK
@@ -274,21 +276,21 @@ class Beam:
                   floats(h.log_pnb for h in hyps), floats(h.log_prob for h in hyps),
                   floats(h.lm_logprob for h in hyps), np.array(lasts, dtype=np.intp),
                   np.array([len(h.prefix) for h in hyps], dtype=np.intp),
-                  np.array(hashes, dtype=np.uint64), np.array(parent_hashes, dtype=np.uint64),
-                  np.array(up, dtype=np.intp), _state_array([h.lm_state for h in hyps]),
+                  np.array(hashes, dtype=np.uint64), np.array(up, dtype=np.intp),
+                  _state_array([h.lm_state for h in hyps]),
                   np.fromiter(nodes, dtype=object, count=len(hyps)),
                   np.fromiter(tails, dtype=object, count=len(hyps)))
         self._view = hyps
 
     def _set(self, alphabet, frame_index, pb, pnb, total, lm_logprob, last, length,
-             digest, parent_digest, up, state, node, tail) -> "Beam":
+             digest, up, state, node, tail) -> "Beam":
         self.alphabet = alphabet
         self.frame_index = frame_index
         self._pb, self._pnb, self._total, self._lm_logprob = pb, pnb, total, lm_logprob
         self._last, self._length = last, length
-        self._hash, self._parent_hash, self._up = digest, parent_digest, up
+        self._hash, self._up = digest, up
         self._state, self._node, self._tail = state, node, tail
-        self._view = self._powers = self._scores = None
+        self._view = self._scores = None
         return self
 
     @property
@@ -419,14 +421,10 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     grid[:, m + 1] = stay_total = _log_add_many(stay_pb, stay_pnb)
 
     scores = grid
-    powers = beam._powers
-    if config.beta:
-        known = powers[1] if powers is not None and powers[0] == config.beta else None
-        stay_den, ext_den, table = _denominators(config.beta, length, known)
-        if table is not known:  # kept by the input beam too, which may be stepped again
-            beam._powers = powers = (config.beta, table)
-        scores = grid / ext_den[:, None]
-        scores[:, m + 1] = stay_total / stay_den
+    if config.beta:  # one table per beta and power-of-two size class above length + 1
+        powers = _length_powers(config.beta, 1 << max(6, (int(length.max()) + 1).bit_length()))
+        scores = grid / powers[length + 1][:, None]
+        scores[:, m + 1] = stay_total / powers[length]
     scores = scores.ravel()
     alive = int(np.count_nonzero(scores > NEG_INF))
     if not alive:  # zero-probability prefixes are dropped
@@ -454,8 +452,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     out_last, out_length = last[src], length[src]
     out_last[x] = cx
     out_length[x] += 1
-    out_hash, out_parent_hash = beam._hash[src], beam._parent_hash[src]
-    out_parent_hash[x] = out_hash[x]
+    out_hash = beam._hash[src]
     char_objects, digits = _symbol_arrays(symbols)
     out_hash[x] = hashes = out_hash[x] * np.uint64(_HASH_MUL) + digits[cx]
     state, node, tail = beam._state[src], beam._node[src], beam._tail[src]
@@ -479,17 +476,17 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     parent_src = beam._up[src]
     parent_src[x] = sx
     up = at[m + 1::m + 2][parent_src]  # the new rows of the parents' stays
-    lone = parent_src < 0
-    if not set(hashes.tolist()).isdisjoint(out_parent_hash[lone].tolist()):
-        for j in lone.nonzero()[0].tolist():
+    lone = (parent_src < 0).nonzero()[0]
+    lone_parents = _parent_hashes(out_hash[lone], out_last[lone], digits)
+    if not set(hashes.tolist()).isdisjoint(lone_parents.tolist()):
+        for j, parent_hash in zip(lone.tolist(), lone_parents.tolist()):
             j_node, j_tail = (node[j], tail[j]) if tail[j] or node[j] is None else node[j]
-            for i in x[hashes == out_parent_hash[j]].tolist():
+            for i in x[hashes == parent_hash].tolist():
                 if j_tail and j_tail[:-1] == tail[i] and (j_node is node[i] or j_node == node[i]):
                     up[j] = i
     out = Beam.__new__(Beam)._set(
         alphabet, beam.frame_index + 1, out_pb, out_pnb, out_total, out_lm, out_last,
-        out_length, out_hash, out_parent_hash, up, state, node, tail)
-    out._powers = powers
+        out_length, out_hash, up, state, node, tail)
     out._scores = scores[ks]
     return out
 

@@ -129,6 +129,8 @@ def _stream_records(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_stream(args, parser) -> int:
+    if hasattr(sys.stdin, "reconfigure"):  # decoded as under a UTF-8 locale, under every one
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
         return _stream_records(args, parser, sys.stdin, sys.stdout)
     except (ParseError, ValidationError, CapacityError) as exc:

@@ -10,8 +10,8 @@ context only when a context was never seen in training, which keeps every
 score finite.  Its log-probability table is built whole at construction
 and fixed from then on.  Its states are the ints of a goto/failure
 automaton over the stored contexts, built at first use: advancing and
-scoring are two array reads each, and the batched methods read the rows
-and successors of many states with two fancy indexes each.
+scoring are one array read each, and the batched methods read the rows
+and successors of many states with one fancy index each.
 
 :mod:`streamctc.formats` reads and writes the NGLM body as entry columns,
 which a model keeps however it was built; this module checks what the
@@ -29,6 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .ctc import _FORBIDDEN_SYMBOLS
 from .errors import ParseError, ValidationError
 from .formats import (EOS, entry_columns, first_line, header_fields, opened, scan_entries,
                       write_entries)
@@ -52,6 +53,8 @@ class CharLm:
             raise ValidationError("alphabet needs at least one character")
         if len(set(symbols)) != len(symbols):
             raise ValidationError("alphabet characters must be distinct")
+        if any(c in _FORBIDDEN_SYMBOLS for c in symbols):  # the file formats' separators
+            raise ValidationError("tab/newline are not valid alphabet characters")
         self.symbols = symbols
         self._index = {c: i for i, c in enumerate(symbols)}
         self._tokens = [*symbols, EOS]
@@ -251,21 +254,21 @@ class NgramLm(CharLm):
         self._entries = (contexts, rows, cols, counts)
 
     @functools.cached_property
-    def _automaton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(succ, hop, row_of)`` over P, the stored contexts and all their
-        prefixes.
+    def _automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(succ, rows)`` over P, the stored contexts and all their
+        prefixes, both indexed by state.
 
         State i < len(table) is the context of table row i, so the initial
         state needs no build; the prefixes not stored come after.
-        The next state after ``s`` and token ``c``, the longest suffix of
-        ``s + c`` in P, is ``succ[hop[s], c]``, and ``row_of[s]`` is the
-        table row of the longest stored suffix of ``s``.  Both follow, depth
-        by depth, from the failure link ``fail[s]``, the longest proper
-        suffix of ``s`` in P, as in Aho and Corasick's construction: a stored
-        suffix of ``h + c`` is ``x + c`` with ``x`` a suffix of ``h`` in P,
-        so the state of ``h`` decides every later row.  A state with no
-        longer state in P moves as its failure link does, so ``succ`` holds
-        rows only for the others, and ``hop`` points a state to its row.
+        ``succ[s, c]`` is the next state after ``s`` and token ``c``, the
+        longest suffix of ``s + c`` in P, and ``rows[s]`` is the table row of
+        the longest stored suffix of ``s``.  Both follow, depth by depth,
+        from the failure link ``fail[s]``, the longest proper suffix of ``s``
+        in P, as in Aho and Corasick's construction: a stored suffix of
+        ``h + c`` is ``x + c`` with ``x`` a suffix of ``h`` in P, so the
+        state of ``h`` decides every later row.  A state moves as its
+        failure link does, except along its own edges.  When the stored
+        contexts are closed under prefixes, ``rows`` is the table itself.
         """
         states = list(self._entries[0])
         stored = len(states)
@@ -287,43 +290,35 @@ class NgramLm(CharLm):
         token = np.fromiter(map(self._index.get, last_chars, itertools.repeat(0)),
                             dtype=np.intp, count=size)
         row_of = np.arange(size)
-        row_of[stored:] = -1
 
-        inner = np.zeros(size, dtype=bool)  # states with a longer state in P
-        inner[parent] = True
-        hop = np.cumsum(inner) - 1
-        succ = np.full((int(inner.sum()), self.vocab_size), empty)
+        succ = np.full((size, self.vocab_size), empty)
         fail = np.full(size, empty)
         for d in range(1, int(depth.max()) + 1):
             kids = (depth == d).nonzero()[0]
             if d > 1:  # depth 1 fails to the empty context
-                fail[kids] = succ[hop[fail[parent[kids]]], token[kids]]
-            succ[hop[parent[kids]], token[kids]] = kids  # the parents' own edges
-            leaves = kids[~inner[kids]]
-            hop[leaves] = hop[fail[leaves]]
-            branches = kids[inner[kids]]
-            succ[hop[branches]] = succ[hop[fail[branches]]]
-            row_of[kids] = np.where(row_of[kids] >= 0, row_of[kids], row_of[fail[kids]])
-        for table in (succ, hop, row_of):
+                fail[kids] = succ[fail[parent[kids]], token[kids]]
+            succ[parent[kids], token[kids]] = kids  # the parents' own edges
+            succ[kids] = succ[fail[kids]]
+            row_of[kids] = np.where(kids < stored, kids, row_of[fail[kids]])
+        rows = self._table if size == stored else self._table[row_of]
+        for table in (succ, rows):
             table.flags.writeable = False
-        return succ, hop, row_of
+        return succ, rows
 
     def initial_state(self) -> int:
         return self._entries[0].index("")
 
     def advance(self, state, ch: str) -> int:
-        succ, hop, _ = self._automaton
-        return int(succ[hop[state], self.index_of(ch)])
+        return int(self._automaton[0][state, self.index_of(ch)])
 
     def next_log_probs(self, state) -> np.ndarray:
-        return self._table[self._automaton[2][operator.index(state)]]
+        return self._automaton[1][operator.index(state)]
 
     def next_log_probs_many(self, states) -> np.ndarray:
-        return self._table[self._automaton[2][np.asarray(states, dtype=np.intp)]]
+        return self._automaton[1][np.asarray(states, dtype=np.intp)]
 
     def advance_many(self, states, tokens) -> np.ndarray:
-        succ, hop, _ = self._automaton
-        return succ[hop[np.asarray(states, dtype=np.intp)], tokens]
+        return self._automaton[0][np.asarray(states, dtype=np.intp), tokens]
 
     def save(self, sink) -> None:
         save_ngram(self, sink)

@@ -28,6 +28,8 @@ from .errors import ValidationError
 from .lm import CharLm, UniformLm
 from .metrics import levenshtein
 
+_COMPLETION_CHARS = 16  # the most characters a word completion adds
+
 
 @dataclass(frozen=True)
 class ReceptiveFieldSpec:
@@ -66,7 +68,8 @@ class IncrementalOutput:
     score: float
 
 
-def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = 16, state=None) -> str:
+def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = _COMPLETION_CHARS,
+                     state=None) -> str:
     """Greedy LM rollout finishing the current word of ``prefix``.
 
     Stops at a space (kept, terminal), end-of-sentence, or after
@@ -108,7 +111,6 @@ class StreamingDecoder:
         config: BeamConfig | None = None,
         lag: int = 22,
         lm: CharLm | None = None,
-        completion_chars: int = 16,
     ):
         if lag < 0:
             raise ValidationError("lag must be >= 0")
@@ -117,7 +119,7 @@ class StreamingDecoder:
         self.lag = lag
         self.lm = lm if lm is not None else UniformLm(alphabet.symbols)
         # every symbol ties under the uniform LM, so it has nothing to say
-        self.completion_chars = completion_chars if lm is not None else 0
+        self._completion_chars = _COMPLETION_CHARS if lm is not None else 0
         self._beam = beam = beam_init(alphabet, self.config, self.lm)
         # (best prefix, score) after frames t - lag .. t: [0] is committed
         self._shown = deque([(beam._prefix(0), beam._score(0, self.config.beta))],
@@ -138,9 +140,8 @@ class StreamingDecoder:
             frame_index=beam.frame_index,
             committed=self._shown[0][0],
             hypothesis=hypothesis,
-            completion=lm_complete_word(
-                hypothesis, self.lm, self.completion_chars, state=beam._state[0]
-            ),
+            completion=lm_complete_word(hypothesis, self.lm, self._completion_chars,
+                                        state=beam._state[0]),
             score=score,
         )
 

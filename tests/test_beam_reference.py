@@ -89,6 +89,21 @@ def assert_parents(beam):
     assert beam._up.tolist() == [row_of.get(p[:-1], -1) if p else -1 for p in prefixes]
 
 
+def prefix_hash(alphabet, prefix):
+    """The beam's hash of ``prefix``, taken one character at a time."""
+    digest = 0
+    for ch in prefix:
+        digest = (digest * beam_module._HASH_MUL + alphabet.index_of(ch) + 1) % 2**64
+    return digest
+
+
+def slots(beam):
+    """The object each slot of ``beam`` holds, with an array's bytes (for an
+    object array, the identities of its elements)."""
+    held = [getattr(beam, name) for name in Beam.__slots__]
+    return held, [v.tobytes() if isinstance(v, np.ndarray) else None for v in held]
+
+
 def run_both(alphabet, rows, config, lm):
     """Step both implementations from the same beam on every row and compare;
     returns the beams before each step.  A collapse must happen in both."""
@@ -204,8 +219,9 @@ class TestPrefixNodes:
     @pytest.mark.parametrize("colliding", [False, True])
     def test_beams_match_the_reference(self, monkeypatch, chunk, colliding):
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
-        if colliding:
+        if colliding:  # its inverse is 1 too
             monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
+            monkeypatch.setattr(beam_module, "_HASH_INV", 1)
         for seed in range(4):
             rows = [make_row(kind, seed * 31 + i, SMALL.size)
                     for i, kind in enumerate(["zeros", "two-hot", "zeros", "uniform"] * 3)]
@@ -247,6 +263,7 @@ class TestCarriedParents:
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
         if colliding:  # the hash is the sum of the digits: "bac" and "cc" hash as "abc"
             monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
+            monkeypatch.setattr(beam_module, "_HASH_INV", 1)
         # "ba" + "c" comes before "abc" among the candidates, and "c" + "c" after it
         beam = Beam(self.ABCD, [Hypothesis(p, -1.1, -2.2, None, 0.0)
                                 for p in ("ba", "ab", "abcd", "c")])
@@ -268,10 +285,53 @@ class TestCarriedParents:
             assert first._hash[prefixes.index("cc")] == first._hash[prefixes.index("abc")]
         assert "abcd" in [h.prefix for h in stepped[1].hypotheses]
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows_strategy, st.sampled_from([1, 2, 8, 100]), st.booleans())
+    def test_derived_parent_hash_is_the_hash_of_the_prefix_less_its_last(
+            self, kinds, width, with_lm):
+        # a step derives it for the rows whose parent is not in the beam; it
+        # holds for every row that has a last character
+        config = BeamConfig(width=width, alpha=0.5 if with_lm else 0.0, beta=0.1)
+        lm = SMALL_LM if with_lm else None
+        digits = beam_module._symbol_arrays(SMALL.symbols)[1]
+        beam = beam_init(SMALL, config, lm)
+        for kind, seed in kinds:
+            try:
+                beam = beam_step(beam, make_row(kind, seed, SMALL.size), config, lm)
+            except ValidationError:  # collapsed
+                break
+            prefixes = [beam._prefix(r) for r in range(len(beam))]
+            assert beam._hash.tolist() == [prefix_hash(SMALL, p) for p in prefixes]
+            rows = [r for r, p in enumerate(prefixes) if p]
+            derived = beam_module._parent_hashes(beam._hash[rows], beam._last[rows], digits)
+            assert derived.tolist() == [prefix_hash(SMALL, prefixes[r][:-1]) for r in rows]
+
     def test_repeated_prefix_is_rejected(self):
         hyps = [Hypothesis("a", -1.0, -2.0, None, 0.0), Hypothesis("a", -1.5, -2.5, None, 0.0)]
         with pytest.raises(ValidationError, match="beam holds the prefix 'a' twice"):
             Beam(Alphabet("ab"), hyps)
+
+
+class TestInputBeamUnchanged:
+    """``beam_step`` writes nothing to the beam it steps: after the step each
+    slot holds the same object, and each array the same bytes."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("with_lm", [False, True])
+    def test_every_slot_unchanged(self, beta, with_lm):
+        em = simulate("the cat ate", WIDE, SimConfig(peak_prob=0.5, noise_seed=7))
+        config = BeamConfig(width=8, alpha=0.5 if with_lm else 0.0, beta=beta)
+        lm = WIDE_LM if with_lm else None
+        beam = beam_init(WIDE, config, lm)
+        for row in em.probs:
+            objects, data = slots(beam)
+            stepped = beam_step(beam, row, config, lm)
+            assert snapshot(beam_step(beam, row, config, lm)) == snapshot(stepped)
+            now_objects, now_data = slots(beam)
+            for name, before, now in zip(Beam.__slots__, objects, now_objects):
+                assert now is before, name
+            assert now_data == data
+            beam = stepped
 
 
 class TestBeamCollapse:

@@ -9,6 +9,7 @@ saved text does not follow later changes to the dict."""
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +148,20 @@ class TestBuiltModelsLoadBack:
                                    max_size=4))
         check_round_trip(scorer, list(table), walks, save_table_scorer, load_table_scorer,
                          table)
+
+
+class TestSeparatorSymbols:
+    """A tab, carriage return or newline in the alphabet would break the line
+    and field structure of the saved file, so both dict constructors reject
+    it, as ``Alphabet`` does."""
+
+    @pytest.mark.parametrize("separator", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("build", [
+        lambda symbols: NgramLm(symbols, 2, 1.0, {(): {"a": 1, "b": 2}}),
+        lambda symbols: TableScorer(symbols, {"": {"a": 0.5, "b": 0.5}}),
+    ], ids=["ngram", "table-scorer"])
+    def test_rejected(self, build, separator):
+        with pytest.raises(ValidationError) as exc:
+            build(f"a{separator}b")
+        assert str(exc.value) == "tab/newline are not valid alphabet characters"
+        build("ab")  # the same model over a clean alphabet builds

@@ -288,6 +288,17 @@ class TestLmTrain:
         head = demo_lm.read_text(encoding="utf-8").splitlines()[0]
         assert head == "NGLM v1 2 1.0 hi "
 
+    @pytest.mark.parametrize("separator", ["\t", "\r", "\n"])
+    def test_separator_in_alphabet_is_validation_exit(self, capsys, tmp_path, separator):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("hi hi\n", encoding="utf-8")
+        out = tmp_path / "model.nglm"
+        code, _, err = run(capsys, ["lm-train", str(corpus), "-o", str(out),
+                                    "--alphabet", f"h{separator}i "])
+        assert code == 4
+        assert err == "streamctc: tab/newline are not valid alphabet characters\n"
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_identity_pairs(self, capsys, tmp_path):
@@ -527,6 +538,43 @@ class TestFileFaults:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+    @pytest.mark.parametrize("route", ["decode", "lm", "s2s-decode"])
+    def test_crlf_header_is_parse_exit(self, capsys, files, route):
+        # "\r" would be an alphabet character, which no format allows
+        name, argv = {"decode": ("em", ["decode", "{crlf}", "--alpha", "0"]),
+                      "lm": ("lm", ["decode", "{em}", "--lm", "{crlf}"]),
+                      "s2s-decode": ("s2s", ["s2s-decode", "{crlf}", "--alpha", "0"])}[route]
+        crlf = files["dir"] / f"crlf-{name}"
+        crlf.write_bytes(files[name].read_bytes().replace(b"\n", b"\r\n"))
+        code, out, err = run(capsys, [arg.format(crlf=crlf, **files) for arg in argv])
+        assert (code, out) == (3, "")
+        assert err.startswith("streamctc: parse error: ")
+        if route != "decode":
+            assert err == "streamctc: parse error: tab/newline are not valid alphabet characters\n"
+
+    @pytest.mark.parametrize("encoding", [{"PYTHONIOENCODING": "utf-8:strict"},
+                                          {"PYTHONIOENCODING": "latin-1"},
+                                          {"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"}],
+                             ids=["strict", "latin-1", "C.UTF-8", "C"])
+    def test_stream_stdin_that_is_not_utf8_is_parse_exit(self, encoding):
+        # the stream reads stdin as UTF-8 whatever the locale: records for the
+        # good rows, then the error record of the bad one
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("PYTHONIOENCODING", "LC_ALL", "LC_CTYPE", "LANG")}
+        env.update(PYTHONPATH=str(src), **encoding)
+        proc = subprocess.run(
+            [sys.executable, "-m", "streamctc", "stream", "--alpha", "0"],
+            input=b"CTCEM v1 2 3 ab-\n0.5 0.25 0.25\n\xff 0.5 0.25\n",
+            capture_output=True, env=env, timeout=60)
+        message = "line 3: bad float: could not convert string to float: '\\udcff'"
+        assert proc.returncode == 3
+        records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+        assert records[0]["hypothesis"] == "a"
+        assert records[1:] == [{"error": message}]
+        assert proc.stderr.decode() == f"streamctc: parse error: {message}\n"
 
 
 class TestVersion:
