@@ -35,6 +35,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def unpack(rev: str, dest: Path) -> str:
+    """Unpack the committed files of git revision ``rev`` into ``dest`` with
+    ``git archive``; the revision's full commit id."""
+    revision = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                              cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return revision
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """(environment line, result line) of one benchmark run in ``checkout``."""
     out = subprocess.run(
@@ -84,15 +96,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     raw = {f"raw_{name}": direction for name, direction in better.items()}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    revision = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
-                              cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    report = {"parent": revision, "change": "working tree", "pairs": args.pairs,
-              "seconds": seconds, "seeds": [args.seed] * args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory() as parent:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent, filter="data")
+        report = {"parent": unpack(args.parent, Path(parent)), "change": "working tree",
+                  "pairs": args.pairs, "seconds": seconds, "seeds": [args.seed] * args.pairs,
+                  "workloads": {}}
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):

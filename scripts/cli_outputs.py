@@ -2,9 +2,8 @@
 """Byte-identity of CLI outputs between a parent revision and this tree.
 
     python3 scripts/cli_outputs.py --parent HEAD~1
-    python3 scripts/cli_outputs.py --parent main --seed 2
 
-Each side writes the benchmark's inputs for the seed with its own
+Each side writes the seed-1 benchmark inputs with its own
 ``streambench/inputs.py`` and package, then runs 49 jobs as
 ``python -m streamctc`` with the 3-gram LM: ``decode`` and ``stream --lag 22``
 of the first 16 stream-default utterances, ``s2s-decode`` of the first 16
@@ -12,24 +11,33 @@ s2s-batch tables, and ``stream --lag 0 --beam-width 8`` of the first
 stream-long utterance.  The script exits 1 naming the first input file, or
 the first job whose stdout, stderr or exit code differs, and 0 when all
 are byte-identical.  The change is this checkout's working tree; the parent
-is the committed files of ``--parent``, unpacked by ``git archive`` into a
-temporary directory (``TMPDIR`` chooses where), as ``bench_pairs.py`` does.
+is the committed files of ``--parent``, unpacked into a temporary directory
+(``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from bench_pairs import unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 PER_KIND = 16
 LM = ("--lm", "lm.nglm")
+# run in the inputs directory, with a side's ``inputs`` module and package
+WRITE_INPUTS = """\
+from inputs import make_inputs
+make_inputs(1, "utterances", ".")
+make_inputs(1, "tables", ".")
+long = make_inputs(1, "long", ".").utterances[0]
+with open("long.em", "w", encoding="utf-8", newline="\\n") as fh:
+    fh.writelines(long.lines)
+"""
 
 
 def jobs() -> list[tuple[str, list[str], str | None]]:
@@ -46,25 +54,12 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     return out
 
 
-def write_inputs(workdir: str, seed: int) -> None:
-    """The inputs of the jobs, written with the ``inputs`` module and the
-    package on ``sys.path``."""
-    from inputs import make_inputs
-
-    make_inputs(seed, "utterances", workdir)
-    make_inputs(seed, "tables", workdir)
-    long = make_inputs(seed, "long", workdir).utterances[0]
-    with open(os.path.join(workdir, "long.em"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(long.lines)
-
-
-def run_side(checkout: Path, workdir: Path, seed: int) -> list[tuple[bytes, bytes, int]]:
+def run_side(checkout: Path, workdir: Path) -> list[tuple[bytes, bytes, int]]:
     """Write the inputs in ``workdir`` with ``checkout``'s code, then run
     every job there; (stdout, stderr, exit code) of each."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(checkout / "src"), str(checkout / "streambench")])}
-    subprocess.run([sys.executable, __file__, "--write-inputs", str(workdir),
-                    "--seed", str(seed)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", WRITE_INPUTS], cwd=workdir, env=env, check=True)
     results = []
     for name, argv, stdin in jobs():
         with open(workdir / stdin, "rb") if stdin else open(os.devnull, "rb") as fh:
@@ -87,29 +82,17 @@ def first_difference(parent: Path, change: Path) -> str | None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", metavar="REV", help="git revision whose committed files "
-                   "are the parent")
-    p.add_argument("--seed", type=int, default=1, help="the seed of the inputs")
-    p.add_argument("--write-inputs", metavar="DIR", help=argparse.SUPPRESS)
+    p.add_argument("--parent", metavar="REV", required=True,
+                   help="git revision whose committed files are the parent")
     args = p.parse_args(argv)
-    if args.write_inputs:
-        write_inputs(args.write_inputs, args.seed)
-        return 0
-    if not args.parent:
-        p.error("--parent is required")
 
-    revision = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
-                              cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT, check=True,
-                             capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "parent", filter="data")
+        revision = unpack(args.parent, tmp / "parent")
         outputs = {}
         for side, checkout in (("parent", tmp / "parent"), ("change", ROOT)):
             (tmp / f"inputs-{side}").mkdir()
-            outputs[side] = run_side(checkout, tmp / f"inputs-{side}", args.seed)
+            outputs[side] = run_side(checkout, tmp / f"inputs-{side}")
         differs = first_difference(tmp / "inputs-parent", tmp / "inputs-change")
         if differs:
             print(f"input {differs} differs at {revision[:12]} and here", file=sys.stderr)

@@ -29,6 +29,15 @@ ENUMERATION_CAP = 10**7
 _FORBIDDEN_SYMBOLS = "\t\r\n"
 
 
+def check_symbols(symbols: str) -> None:
+    """Reject repeated characters, and the tab and line ends that separate
+    the fields and lines of every file format."""
+    if len(set(symbols)) != len(symbols):
+        raise ValidationError("alphabet characters must be distinct")
+    if any(c in _FORBIDDEN_SYMBOLS for c in symbols):
+        raise ValidationError("tab/newline are not valid alphabet characters")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered visible characters; the CTC blank occupies the last index.
@@ -44,10 +53,7 @@ class Alphabet:
             object.__setattr__(self, "symbols", "".join(self.symbols))
         if len(self.symbols) < 1:
             raise ValidationError("alphabet needs at least one visible character")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValidationError("alphabet characters must be distinct")
-        if any(c in _FORBIDDEN_SYMBOLS for c in self.symbols):
-            raise ValidationError("tab/newline are not valid alphabet characters")
+        check_symbols(self.symbols)
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.symbols)})
 
     @property

@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctc import _FORBIDDEN_SYMBOLS
+from .ctc import check_symbols
 from .errors import ParseError, ValidationError
 from .formats import (EOS, entry_columns, first_line, header_fields, opened, scan_entries,
                       write_entries)
@@ -51,10 +51,7 @@ class CharLm:
         symbols = "".join(symbols)
         if not symbols:
             raise ValidationError("alphabet needs at least one character")
-        if len(set(symbols)) != len(symbols):
-            raise ValidationError("alphabet characters must be distinct")
-        if any(c in _FORBIDDEN_SYMBOLS for c in symbols):  # the file formats' separators
-            raise ValidationError("tab/newline are not valid alphabet characters")
+        check_symbols(symbols)
         self.symbols = symbols
         self._index = {c: i for i, c in enumerate(symbols)}
         self._tokens = [*symbols, EOS]
@@ -291,7 +288,7 @@ class NgramLm(CharLm):
                             dtype=np.intp, count=size)
         row_of = np.arange(size)
 
-        succ = np.full((size, self.vocab_size), empty)
+        succ = np.full((size, self.vocab_size), empty, dtype=np.int32)
         fail = np.full(size, empty)
         for d in range(1, int(depth.max()) + 1):
             kids = (depth == d).nonzero()[0]

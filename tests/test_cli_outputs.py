@@ -1,13 +1,12 @@
 """scripts/cli_outputs.py: the job list and the input comparison."""
 
-import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_outputs.py"
-spec = importlib.util.spec_from_file_location("cli_outputs", SCRIPT)
-cli_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(cli_outputs)
+# the script imports bench_pairs from its own directory, as it does when run
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import cli_outputs  # noqa: E402
 
 
 def test_49_jobs_of_four_kinds():
