@@ -4,15 +4,18 @@
     python3 scripts/cli_outputs.py --parent HEAD~1
 
 Each side writes the seed-1 benchmark inputs with its own
-``streambench/inputs.py`` and package, then runs 49 jobs as
-``python -m streamctc`` with the 3-gram LM: ``decode`` and ``stream --lag 22``
-of the first 16 stream-default utterances, ``s2s-decode`` of the first 16
-s2s-batch tables, and ``stream --lag 0 --beam-width 8`` of the first
-stream-long utterance.  The script exits 1 naming the first input file, or
-the first job whose stdout, stderr or exit code differs, and 0 when all
-are byte-identical.  The change is this checkout's working tree; the parent
-is the committed files of ``--parent``, unpacked into a temporary directory
-(``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
+``streambench/inputs.py`` and package.  Once they are found identical, the
+script adds malformed inputs made from them to both sides, and each side
+runs 49 jobs on the valid inputs as ``python -m streamctc`` with the 3-gram
+LM: ``decode`` and ``stream --lag 22`` of the first 16 stream-default
+utterances, ``s2s-decode`` of the first 16 s2s-batch tables, and
+``stream --lag 0 --beam-width 8`` of the first stream-long utterance; then
+8 jobs that each end on one error route.  The script exits 1 naming the
+first input file, or the first job whose stdout, stderr or exit code
+differs, and 0 when all are byte-identical.  The change is this checkout's
+working tree; the parent is the committed files of ``--parent``, unpacked
+into a temporary directory (``TMPDIR`` chooses where) by
+``bench_pairs.unpack``.
 """
 
 from __future__ import annotations
@@ -54,14 +57,55 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     return out
 
 
-def run_side(checkout: Path, workdir: Path) -> list[tuple[bytes, bytes, int]]:
-    """Write the inputs in ``workdir`` with ``checkout``'s code, then run
-    every job there; (stdout, stderr, exit code) of each."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def fault_jobs() -> list[tuple[str, list[str], str | None]]:
+    """The jobs on the inputs of :func:`fault_inputs`, one per error route."""
+    return [
+        ("decode bad-float", ["decode", "bad-float.em", *LM], None),
+        ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
+        ("stream extra-row", ["stream", "--lag", "22", *LM], "extra-row.em"),
+        ("stream empty", ["stream", "--lag", "22", *LM], "empty.em"),
+        ("decode not-utf8", ["decode", "not-utf8.em", *LM], None),
+        ("decode missing-lm", ["decode", "utt000.em", "--lm", "missing.nglm"], None),
+        ("decode crlf-lm", ["decode", "utt000.em", "--lm", "crlf.nglm"], None),
+        ("s2s-decode bad-prob", ["s2s-decode", "bad-prob.s2sm", *LM], None),
+    ]
+
+
+def fault_inputs(inputs: Path) -> dict[str, bytes]:
+    """Malformed files, by name, made from the seed-1 inputs in ``inputs``:
+    the third emission row of ``utt000.em`` starts with a word, 0.5 or a
+    byte that is not UTF-8, or its last row comes twice; the LM has CRLF
+    line ends; the first entry of ``t000.s2sm`` is 1.5."""
+    header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
+    rest = rows[2][rows[2].index(b" "):]
+
+    def em(third: bytes) -> bytes:
+        return b"".join([header, *rows[:2], third + rest, *rows[3:]])
+
+    s2s_header, entry, *entries = (inputs / "t000.s2sm").read_bytes().splitlines(keepends=True)
+    return {
+        "bad-float.em": em(b"x"),
+        "bad-sum.em": em(b"0.5"),
+        "not-utf8.em": em(b"\xff"),
+        "extra-row.em": b"".join([header, *rows, rows[-1]]),
+        "empty.em": b"",
+        "crlf.nglm": (inputs / "lm.nglm").read_bytes().replace(b"\n", b"\r\n"),
+        "bad-prob.s2sm": b"".join([s2s_header, entry[:entry.rindex(b"\t")], b"\t1.5\n",
+                                   *entries]),
+    }
+
+
+def side_env(checkout: Path) -> dict[str, str]:
+    """The environment that runs ``checkout``'s package and ``inputs`` module."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(checkout / "src"), str(checkout / "streambench")])}
-    subprocess.run([sys.executable, "-c", WRITE_INPUTS], cwd=workdir, env=env, check=True)
-    results = []
-    for name, argv, stdin in jobs():
+
+
+def run_jobs(checkout: Path, workdir: Path) -> list[tuple[bytes, bytes, int]]:
+    """(stdout, stderr, exit code) of every job, run in ``workdir`` with
+    ``checkout``'s code."""
+    env, results = side_env(checkout), []
+    for name, argv, stdin in jobs() + fault_jobs():
         with open(workdir / stdin, "rb") if stdin else open(os.devnull, "rb") as fh:
             proc = subprocess.run([sys.executable, "-m", "streamctc", *argv], cwd=workdir,
                                   env=env, stdin=fh, capture_output=True)
@@ -89,21 +133,29 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         revision = unpack(args.parent, tmp / "parent")
-        outputs = {}
-        for side, checkout in (("parent", tmp / "parent"), ("change", ROOT)):
+        sides = {"parent": tmp / "parent", "change": ROOT}
+        for side, checkout in sides.items():
             (tmp / f"inputs-{side}").mkdir()
-            outputs[side] = run_side(checkout, tmp / f"inputs-{side}")
+            subprocess.run([sys.executable, "-c", WRITE_INPUTS], cwd=tmp / f"inputs-{side}",
+                           env=side_env(checkout), check=True)
         differs = first_difference(tmp / "inputs-parent", tmp / "inputs-change")
         if differs:
             print(f"input {differs} differs at {revision[:12]} and here", file=sys.stderr)
             return 1
-        for (name, _, _), old, new in zip(jobs(), outputs["parent"], outputs["change"]):
+        faults = fault_inputs(tmp / "inputs-change")
+        outputs = {}
+        for side, checkout in sides.items():
+            for name, data in faults.items():
+                (tmp / f"inputs-{side}" / name).write_bytes(data)
+            outputs[side] = run_jobs(checkout, tmp / f"inputs-{side}")
+        for (name, _, _), old, new in zip(jobs() + fault_jobs(), outputs["parent"],
+                                          outputs["change"]):
             for part, a, b in zip(("stdout", "stderr", "exit code"), old, new):
                 if a != b:
                     print(f"job {name!r}: {part} differs at {revision[:12]} and here",
                           file=sys.stderr)
                     return 1
-    print(f"{len(jobs())} jobs byte-identical at {revision[:12]} and here")
+    print(f"{len(jobs() + fault_jobs())} jobs byte-identical at {revision[:12]} and here")
     return 0
 
 

@@ -18,11 +18,12 @@ prefixes whose total probability is zero.
 
 A beam is a set of arrays, one entry per hypothesis: both buckets and their
 sum, the final character, the length, the LM state and accumulated LM
-log-probability, a hash of the prefix, the row holding the prefix less its
-last character (or -1), and the prefix itself as a pointer node.  A node
-is ``(parent node, chunk)`` for every full chunk of ``_CHUNK`` characters,
-plus a tail string of the rest, so hypotheses share their common history
-and the memory is bounded by W plus the transcript.
+log-probability, the row holding the prefix less its last character (or
+-1), and the prefix itself as a pointer node.  A node is ``(parent node,
+chunk)`` for every full chunk of ``_CHUNK`` characters, plus a tail string
+of the rest, so hypotheses share their common history and the memory is
+bounded by W plus the transcript.  Each row also keeps its parent tail: the
+tail of the prefix less its last character, or None for the empty prefix.
 
 A step is a fixed number of numpy operations over these arrays and the
 W x |A| extension grid, whose cost does not grow with the transcript, plus
@@ -33,8 +34,8 @@ the hypothesis whose parent is s, and absorbs s's extension by c.  They
 are carried through the cut: an extension's parent is the hypothesis it
 extends, and a hypothesis that stays keeps its parent, when that
 survives.  Only a parent that had left the beam and comes back as an
-extension is looked up, by hash (inverted from the child's), and checked
-on the nodes.
+extension is looked up: an extension whose tail is the stay's parent tail,
+checked on the nodes.
 :func:`ranked_cut`, shared with the seq2seq search in ``s2s.py``, keeps
 the W best by (-score, prefix) as a set with the best first: it partitions
 the scores in numpy and spells prefixes only for the entries that tie
@@ -67,8 +68,6 @@ from .errors import ValidationError
 from .lm import CharLm, UniformLm, check_log_rows
 
 _CHUNK = 64  # prefix characters per shared node
-_HASH_MUL = 0x9E3779B97F4A7C15  # prefix hash: h(s + c) = h(s) * _HASH_MUL + index(c) + 1
-_HASH_INV = pow(_HASH_MUL, -1, 2**64)  # _HASH_MUL is odd, so the hash step can be undone
 _COLLAPSED = "beam collapsed: the emission row assigns no mass to any reachable prefix"
 
 
@@ -96,8 +95,6 @@ def _log_add_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def normalized_score(log_prob: float, length: int, beta: float) -> float:
     """log p / max(1, length)**beta; the empty prefix divides by 1."""
-    if beta == 0.0:
-        return log_prob
     return log_prob / max(1, length) ** beta
 
 
@@ -131,8 +128,6 @@ def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> np.ndarray:
             at = scores[kept] == kth
             above, tied = kept[~at], kept[at]
             tied = tied[_prefix_order(tied, prefixes_of)[:width - above.size]]
-            if not above.size:  # all kept tie for the best, and are in order
-                return tied
             kept = np.concatenate((above, tied))
     else:
         kept = np.arange(scores.size)
@@ -204,21 +199,11 @@ def _spell_apart(beam: "Beam", rows: list[int]) -> list[str]:
 
 
 @functools.lru_cache(maxsize=16)
-def _symbol_arrays(symbols: str) -> tuple[np.ndarray, np.ndarray]:
-    """The symbols as objects, and the hash digits, index + 1, of the
-    symbols and of the empty prefix's final-character column."""
-    arrays = (np.fromiter(symbols, dtype=object, count=len(symbols)),
-              np.arange(1, len(symbols) + 2, dtype=np.uint64))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-def _parent_hashes(digest: np.ndarray, last: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The hash of each prefix less its final character ``last``: the hash
-    step undone, ``(h - digits[last]) * _HASH_INV``.  An empty prefix gets
-    a value that no check on the nodes matches."""
-    return (digest - digits[last]) * np.uint64(_HASH_INV)
+def _symbol_objects(symbols: str) -> np.ndarray:
+    """The symbols as a read-only object array."""
+    array = np.fromiter(symbols, dtype=object, count=len(symbols))
+    array.flags.writeable = False
+    return array
 
 
 @functools.lru_cache(maxsize=16)
@@ -239,14 +224,14 @@ class Beam:
     """
 
     __slots__ = ("alphabet", "frame_index", "_pb", "_pnb", "_total", "_lm_logprob",
-                 "_last", "_length", "_hash", "_up", "_state", "_node", "_tail", "_view",
-                 "_scores")
+                 "_last", "_length", "_up", "_state", "_node", "_tail", "_up_tail",
+                 "_view", "_scores")
 
     def __init__(self, alphabet: Alphabet, hypotheses: Iterable[Hypothesis],
                  frame_index: int = 0):
         hyps = tuple(hypotheses)
         index = alphabet._index
-        nodes, tails, hashes, lasts = [], [], [], []
+        nodes, tails, up_tails, lasts = [], [], [], []
         shared = {}  # (id of parent node, chunk) -> node, so prefixes share history
         row_of = {}
         for hyp in hyps:
@@ -255,10 +240,6 @@ class Beam:
             if prefix in row_of:
                 raise ValidationError(f"beam holds the prefix {prefix!r} twice")
             row_of[prefix] = len(row_of)
-            digest = 0
-            for ch in prefix:
-                digest = (digest * _HASH_MUL + index[ch] + 1) % 2**64
-            hashes.append(digest)
             lasts.append(index[prefix[-1]] if prefix else len(alphabet.symbols))
             node = None
             cut = len(prefix) - len(prefix) % _CHUNK
@@ -267,6 +248,8 @@ class Beam:
                 node = shared.setdefault((id(node), chunk), (node, chunk))
             nodes.append(node)
             tails.append(prefix[cut:])
+            end = len(prefix) - 1  # the parent's length
+            up_tails.append(prefix[end - end % _CHUNK:end] if prefix else None)
         up = [row_of.get(prefix[:-1], -1) if prefix else -1 for prefix in row_of]
 
         def floats(values):
@@ -276,20 +259,18 @@ class Beam:
                   floats(h.log_pnb for h in hyps), floats(h.log_prob for h in hyps),
                   floats(h.lm_logprob for h in hyps), np.array(lasts, dtype=np.intp),
                   np.array([len(h.prefix) for h in hyps], dtype=np.intp),
-                  np.array(hashes, dtype=np.uint64), np.array(up, dtype=np.intp),
-                  _state_array([h.lm_state for h in hyps]),
-                  np.fromiter(nodes, dtype=object, count=len(hyps)),
-                  np.fromiter(tails, dtype=object, count=len(hyps)))
+                  np.array(up, dtype=np.intp), _state_array([h.lm_state for h in hyps]),
+                  *(np.fromiter(column, dtype=object, count=len(hyps))
+                    for column in (nodes, tails, up_tails)))
         self._view = hyps
 
     def _set(self, alphabet, frame_index, pb, pnb, total, lm_logprob, last, length,
-             digest, up, state, node, tail) -> "Beam":
+             up, state, node, tail, up_tail) -> "Beam":
         self.alphabet = alphabet
         self.frame_index = frame_index
         self._pb, self._pnb, self._total, self._lm_logprob = pb, pnb, total, lm_logprob
-        self._last, self._length = last, length
-        self._hash, self._up = digest, up
-        self._state, self._node, self._tail = state, node, tail
+        self._last, self._length, self._up = last, length, up
+        self._state, self._node, self._tail, self._up_tail = state, node, tail, up_tail
         self._view = self._scores = None
         return self
 
@@ -420,11 +401,10 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
         ext[parents, cols] = NEG_INF
     grid[:, m + 1] = stay_total = _log_add_many(stay_pb, stay_pnb)
 
-    scores = grid
-    if config.beta:  # one table per beta and power-of-two size class above length + 1
-        powers = _length_powers(config.beta, 1 << max(6, (int(length.max()) + 1).bit_length()))
-        scores = grid / powers[length + 1][:, None]
-        scores[:, m + 1] = stay_total / powers[length]
+    # one table per beta and power-of-two size class above length + 1
+    powers = _length_powers(config.beta, 1 << max(6, (int(length.max()) + 1).bit_length()))
+    scores = grid / powers[length + 1][:, None]
+    scores[:, m + 1] = stay_total / powers[length]
     scores = scores.ravel()
     alive = int(np.count_nonzero(scores > NEG_INF))
     if not alive:  # zero-probability prefixes are dropped
@@ -452,13 +432,12 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     out_last, out_length = last[src], length[src]
     out_last[x] = cx
     out_length[x] += 1
-    out_hash = beam._hash[src]
-    char_objects, digits = _symbol_arrays(symbols)
-    out_hash[x] = hashes = out_hash[x] * np.uint64(_HASH_MUL) + digits[cx]
     state, node, tail = beam._state[src], beam._node[src], beam._tail[src]
+    up_tail = beam._up_tail[src]
     if x.size:
         state[x] = lm.advance_many(state[x], cx if lm_cols is None else lm_cols[cx])
-        grown = list(map(operator.add, tail[x], char_objects[cx]))
+        up_tail[x] = tail[x]  # an extension's parent is its source
+        grown = list(map(operator.add, tail[x], _symbol_objects(symbols)[cx]))
         if _CHUNK in map(len, grown):  # a full chunk becomes a node
             for f, text in enumerate(grown):
                 if len(text) == _CHUNK:
@@ -468,7 +447,8 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
 
     # Each row's parent row.  Every extension is new to the beam (merged ones
     # were cut), so its parent is its source's stay; a stay's is the stay of its
-    # source's parent, if kept, or else an extension, found by hash and checked.
+    # source's parent, if kept, or else an extension whose tail is the stay's
+    # parent tail and whose nodes are the parent's.
     # candidate -> new row, or -1, over one row past the grid: index -1 reads -1
     at = np.empty((n + 1) * (m + 2), dtype=np.intp)
     at.fill(-1)
@@ -477,16 +457,16 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     parent_src[x] = sx
     up = at[m + 1::m + 2][parent_src]  # the new rows of the parents' stays
     lone = (parent_src < 0).nonzero()[0]
-    lone_parents = _parent_hashes(out_hash[lone], out_last[lone], digits)
-    if not set(hashes.tolist()).isdisjoint(lone_parents.tolist()):
-        for j, parent_hash in zip(lone.tolist(), lone_parents.tolist()):
-            j_node, j_tail = (node[j], tail[j]) if tail[j] or node[j] is None else node[j]
-            for i in x[hashes == parent_hash].tolist():
-                if j_tail and j_tail[:-1] == tail[i] and (j_node is node[i] or j_node == node[i]):
+    ext_tails, lone_tails = tail[x].tolist(), up_tail[lone]
+    if not set(ext_tails).isdisjoint(lone_tails.tolist()):
+        for i, i_tail in zip(x.tolist(), ext_tails):
+            for j in lone[lone_tails == i_tail].tolist():
+                j_node = node[j] if tail[j] else node[j][0]  # the parent's node
+                if j_node is node[i] or j_node == node[i]:
                     up[j] = i
     out = Beam.__new__(Beam)._set(
         alphabet, beam.frame_index + 1, out_pb, out_pnb, out_total, out_lm, out_last,
-        out_length, out_hash, up, state, node, tail)
+        out_length, up, state, node, tail, up_tail)
     out._scores = scores[ks]
     return out
 

@@ -199,13 +199,20 @@ class NgramLm(CharLm):
         ``counts[j]``.  The reader has checked the entries: contexts and
         tokens in the alphabet, counts positive, no duplicates, the empty
         context present."""
-        lm = cls.__new__(cls)
-        CharLm.__init__(lm, symbols)
-        lm._set_order_and_k(order, k)
+        lm = cls._unfilled(symbols, order, k)
         if max(map(len, contexts)) >= order:  # name the first, as the constructor does
             for ctx in contexts:
                 lm._check_context(tuple(ctx))
         lm._fill(contexts, rows, cols, counts)
+        return lm
+
+    @classmethod
+    def _unfilled(cls, symbols: str, order: int, k: float) -> "NgramLm":
+        """A model with its alphabet, order and k checked and set, in the
+        constructor's order, and no entries yet."""
+        lm = cls.__new__(cls)
+        CharLm.__init__(lm, symbols)
+        lm._set_order_and_k(order, k)
         return lm
 
     def _set_order_and_k(self, order: int, k: float) -> None:
@@ -317,13 +324,6 @@ class NgramLm(CharLm):
     def advance_many(self, states, tokens) -> np.ndarray:
         return self._automaton[0][np.asarray(states, dtype=np.intp), tokens]
 
-    def save(self, sink) -> None:
-        save_ngram(self, sink)
-
-    @classmethod
-    def load(cls, source) -> "NgramLm":
-        return load_ngram(source)
-
 
 def check_log_rows(rows: np.ndarray, source: str) -> None:
     """Raise ValidationError if a block of log-probability rows holds NaN or
@@ -350,12 +350,10 @@ def train_ngram(lines: Iterable[str], symbols: str, order: int = 3,
     """Count n-grams over normalized corpus lines; each line ends with EOS.
 
     Contexts of every length below ``order`` are stored so backoff always
-    terminates at the empty context.
+    terminates at the empty context.  The alphabet, order and k are checked
+    before the first line is read.
     """
-    if order < 1:
-        raise ValidationError("order must be >= 1")
-    if not 0 < k < math.inf:
-        raise ValidationError("smoothing constant k must be finite and > 0")
+    NgramLm._unfilled(symbols, order, k)
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     seen_any = False
     for raw in lines:

@@ -139,13 +139,6 @@ class TableScorer(CharLm):
     def advance_many(self, states, tokens) -> np.ndarray:
         return np.asarray(states, dtype=object) + self._token_objects[tokens]
 
-    def save(self, sink) -> None:
-        save_table_scorer(self, sink)
-
-    @classmethod
-    def load(cls, source) -> "TableScorer":
-        return load_table_scorer(source)
-
 
 def save_table_scorer(scorer: TableScorer, sink) -> None:
     write_entries(sink, f"{S2SM_MAGIC} {scorer.symbols}", *scorer._entries, scorer._tokens)

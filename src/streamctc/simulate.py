@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ctc import Alphabet, EmissionMatrix, check_rows
+from .ctc import Alphabet, EmissionMatrix, check_rows, check_symbols
 from .errors import ParseError, ValidationError
 from .formats import first_line, header_fields, opened
 
@@ -116,7 +116,11 @@ def parse_emissions_header(line: str) -> tuple[Alphabet, int]:
     if len(field) < 2:
         raise ParseError("header alphabet field needs at least one visible "
                          "character and the blank marker", line=1)
-    alphabet = Alphabet(field[:-1])
+    try:
+        check_symbols(field[-1])  # the blank marker is no separator either
+        alphabet = Alphabet(field[:-1])
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=1) from exc
     if alphabet.size != width:
         raise ParseError(
             f"header declares width {width} but the alphabet implies {alphabet.size}",

@@ -89,12 +89,14 @@ def assert_parents(beam):
     assert beam._up.tolist() == [row_of.get(p[:-1], -1) if p else -1 for p in prefixes]
 
 
-def prefix_hash(alphabet, prefix):
-    """The beam's hash of ``prefix``, taken one character at a time."""
-    digest = 0
-    for ch in prefix:
-        digest = (digest * beam_module._HASH_MUL + alphabet.index_of(ch) + 1) % 2**64
-    return digest
+def assert_parent_tails(beam):
+    """Each row's carried parent tail is the tail (the characters after the
+    last full chunk) of its spelled prefix less the last character, or None
+    for the empty prefix."""
+    chunk = beam_module._CHUNK
+    parents = [beam._prefix(r)[:-1] if beam._length[r] else None for r in range(len(beam))]
+    assert beam._up_tail.tolist() == [
+        None if p is None else p[len(p) // chunk * chunk:] for p in parents]
 
 
 def slots(beam):
@@ -209,19 +211,15 @@ class TestMatchesReference:
 
 
 class TestPrefixNodes:
-    """Prefixes are chains of shared chunk nodes found again by a hash of the
-    prefix.  Chunks of one to three characters make every path through the
-    nodes run on short prefixes, and a hash multiplier of 1 (the hash is then
-    the sum of the character digits) makes anagrams collide, so a match by
-    hash must be checked and a beam may hold two equal hashes."""
+    """Prefixes are chains of shared chunk nodes plus a tail string, and a
+    returning parent is found again by its tail.  Chunks of one to three
+    characters make every path through the nodes run on short prefixes; with
+    chunks of one every tail is empty, so only the check on the nodes tells
+    a parent from any other extension."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
-    @pytest.mark.parametrize("colliding", [False, True])
-    def test_beams_match_the_reference(self, monkeypatch, chunk, colliding):
+    def test_beams_match_the_reference(self, monkeypatch, chunk):
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
-        if colliding:  # its inverse is 1 too
-            monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
-            monkeypatch.setattr(beam_module, "_HASH_INV", 1)
         for seed in range(4):
             rows = [make_row(kind, seed * 31 + i, SMALL.size)
                     for i, kind in enumerate(["zeros", "two-hot", "zeros", "uniform"] * 3)]
@@ -258,53 +256,55 @@ class TestCarriedParents:
     ABCD = Alphabet("abcd")
 
     @pytest.mark.parametrize("chunk", [1, 64])
-    @pytest.mark.parametrize("colliding", [False, True])
-    def test_parent_found_among_new_extensions(self, monkeypatch, chunk, colliding):
+    def test_parent_found_among_new_extensions(self, monkeypatch, chunk):
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
-        if colliding:  # the hash is the sum of the digits: "bac" and "cc" hash as "abc"
-            monkeypatch.setattr(beam_module, "_HASH_MUL", 1)
-            monkeypatch.setattr(beam_module, "_HASH_INV", 1)
-        # "ba" + "c" comes before "abc" among the candidates, and "c" + "c" after it
-        beam = Beam(self.ABCD, [Hypothesis(p, -1.1, -2.2, None, 0.0)
-                                for p in ("ba", "ab", "abcd", "c")])
-        assert beam._up.tolist() == [-1, -1, -1, -1]  # "abcd" has no parent in the beam
+        self.check_return("", ["ba", "ab", "abcd", "c"])
+        if chunk == 64:  # "d" * 64 + "abcd" has the parent tail "abc", as have the
+            # extensions "a" * 64 + "abc" and "b" * 64 + "abc", but neither is its parent
+            a = "a" * 64
+            self.check_return(a, [a + "ba", a + "ab", a + "abcd", a + "c", "b" * 64 + "ab",
+                                  "d" * 64 + "abcd"])
+
+    def check_return(self, a, prefixes):
+        """Two steps from a beam of ``prefixes``, in which ``a + "ab"`` gains a
+        "c" and so becomes the parent of ``a + "abcd"``, which then absorbs
+        ``a + "abc" + "d"``."""
+        beam = Beam(self.ABCD, [Hypothesis(p, -1.1, -2.2, None, 0.0) for p in prefixes])
+        assert (beam._up == -1).all()  # a + "abcd" has no parent in the beam
         config = BeamConfig(width=100, alpha=0.0, beta=0.0)
         stepped = []
-        # "ab" + "c" survives as the parent of "abcd"; then "abc" + "d" merges into it
         for row in ([0.05, 0.05, 0.4, 0.05, 0.45], [0.05, 0.05, 0.05, 0.4, 0.45]):
             got = beam_step(beam, row, config)
             assert snapshot(got) == snapshot(reference_beam_step(beam, row, config))
             assert_parents(got)
+            assert_parent_tails(got)
             stepped.append(got)
             beam = got
         first = stepped[0]
-        prefixes = [first._prefix(r) for r in range(len(first))]
-        assert first._up[prefixes.index("abcd")] == prefixes.index("abc")
-        if colliding:
-            assert first._hash[prefixes.index("bac")] == first._hash[prefixes.index("abc")]
-            assert first._hash[prefixes.index("cc")] == first._hash[prefixes.index("abc")]
-        assert "abcd" in [h.prefix for h in stepped[1].hypotheses]
+        spelled = [first._prefix(r) for r in range(len(first))]
+        assert first._up[spelled.index(a + "abcd")] == spelled.index(a + "abc")
+        assert a + "abcd" in [h.prefix for h in stepped[1].hypotheses]
 
     @settings(max_examples=100, deadline=None)
-    @given(rows_strategy, st.sampled_from([1, 2, 8, 100]), st.booleans())
-    def test_derived_parent_hash_is_the_hash_of_the_prefix_less_its_last(
-            self, kinds, width, with_lm):
-        # a step derives it for the rows whose parent is not in the beam; it
-        # holds for every row that has a last character
+    @given(rows_strategy, st.sampled_from([1, 2, 8, 100]), st.sampled_from([1, 2, 3, 64]),
+           st.booleans())
+    def test_parent_tail_is_the_tail_of_the_prefix_less_its_last(
+            self, kinds, width, chunk, with_lm):
+        # on stepped beams and on beams rebuilt from their hypotheses
         config = BeamConfig(width=width, alpha=0.5 if with_lm else 0.0, beta=0.1)
         lm = SMALL_LM if with_lm else None
-        digits = beam_module._symbol_arrays(SMALL.symbols)[1]
-        beam = beam_init(SMALL, config, lm)
-        for kind, seed in kinds:
-            try:
-                beam = beam_step(beam, make_row(kind, seed, SMALL.size), config, lm)
-            except ValidationError:  # collapsed
-                break
-            prefixes = [beam._prefix(r) for r in range(len(beam))]
-            assert beam._hash.tolist() == [prefix_hash(SMALL, p) for p in prefixes]
-            rows = [r for r, p in enumerate(prefixes) if p]
-            derived = beam_module._parent_hashes(beam._hash[rows], beam._last[rows], digits)
-            assert derived.tolist() == [prefix_hash(SMALL, prefixes[r][:-1]) for r in rows]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beam_module, "_CHUNK", chunk)
+            beam = beam_init(SMALL, config, lm)
+            assert_parent_tails(beam)
+            for kind, seed in kinds:
+                try:
+                    beam = beam_step(beam, make_row(kind, seed, SMALL.size), config, lm)
+                except ValidationError:  # collapsed
+                    break
+                for built in (beam, Beam(SMALL, beam.hypotheses, beam.frame_index)):
+                    assert_parents(built)
+                    assert_parent_tails(built)
 
     def test_repeated_prefix_is_rejected(self):
         hyps = [Hypothesis("a", -1.0, -2.0, None, 0.0), Hypothesis("a", -1.5, -2.5, None, 0.0)]

@@ -151,7 +151,12 @@ class TestDecode:
         ("CTCEM v1 -1 3 ab-", "negative frame count -1"),
         ("CTCEM v1 0 1 -", "header alphabet field needs at least one visible "
                            "character and the blank marker"),
-    ], ids=["frames-not-int", "negative-frames", "no-visible-character"])
+        ("CTCEM v1 1 4 aab-", "alphabet characters must be distinct"),
+        ("CTCEM v1 1 4 a\tb-", "tab/newline are not valid alphabet characters"),
+        ("CTCEM v1 1 3 ab-\r", "tab/newline are not valid alphabet characters"),
+        ("CTCEM v1 1 3 ab\t", "tab/newline are not valid alphabet characters"),
+    ], ids=["frames-not-int", "negative-frames", "no-visible-character", "repeated-character",
+            "tab", "crlf", "tab-as-blank-marker"])
     def test_bad_header_is_parse_exit(self, capsys, monkeypatch, tmp_path, header, message):
         path = tmp_path / "bad.em"
         path.write_text(f"{header}\n", encoding="utf-8")
@@ -550,9 +555,9 @@ class TestFileFaults:
         crlf.write_bytes(files[name].read_bytes().replace(b"\n", b"\r\n"))
         code, out, err = run(capsys, [arg.format(crlf=crlf, **files) for arg in argv])
         assert (code, out) == (3, "")
-        assert err.startswith("streamctc: parse error: ")
-        if route != "decode":
-            assert err == "streamctc: parse error: tab/newline are not valid alphabet characters\n"
+        line = "line 1: " if route == "decode" else ""  # NGLM and S2SM name no line
+        message = "tab/newline are not valid alphabet characters"
+        assert err == f"streamctc: parse error: {line}{message}\n"
 
     @pytest.mark.parametrize("encoding", [{"PYTHONIOENCODING": "utf-8:strict"},
                                           {"PYTHONIOENCODING": "latin-1"},

@@ -17,6 +17,29 @@ def test_49_jobs_of_four_kinds():
     assert kinds == {("decode", False): 16, ("stream", True): 17, ("s2s-decode", False): 16}
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
+    names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
+    assert len(names) == len(set(names)) == 57
+
+
+def test_fault_jobs_read_the_fault_inputs(tmp_path):
+    row = b"0.25 0.25 0.5\n"
+    header = b"CTCEM v1 4 3 ab-\n"
+    (tmp_path / "utt000.em").write_bytes(header + row * 4)
+    (tmp_path / "lm.nglm").write_bytes(b"NGLM v1 2 1.0 ab\n\ta\t1\n")
+    (tmp_path / "t000.s2sm").write_bytes(b"S2SM v1 ab\n\ta\t0.5\n\tb\t0.5\n")
+    faults = cli_outputs.fault_inputs(tmp_path)
+    assert faults == {
+        "bad-float.em": header + row * 2 + b"x 0.25 0.5\n" + row,
+        "bad-sum.em": header + row * 2 + b"0.5 0.25 0.5\n" + row,
+        "not-utf8.em": header + row * 2 + b"\xff 0.25 0.5\n" + row,
+        "extra-row.em": header + row * 5,
+        "empty.em": b"",
+        "crlf.nglm": b"NGLM v1 2 1.0 ab\r\n\ta\t1\r\n",
+        "bad-prob.s2sm": b"S2SM v1 ab\n\ta\t1.5\n\tb\t0.5\n",
+    }
+    read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
+            if arg and "." in arg}
+    assert read == {*faults, "utt000.em", "lm.nglm", "missing.nglm"}
 
 
 def test_first_difference_names_a_changed_or_missing_file(tmp_path):

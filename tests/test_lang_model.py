@@ -73,6 +73,21 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_ngram(["", "   ", "123"], "ab", order=2)
 
+    @pytest.mark.parametrize("symbols,order,k,message", [
+        ("a\tb", 0, 1.0, "tab/newline are not valid alphabet characters"),  # alphabet first
+        ("", 2, 1.0, "alphabet needs at least one character"),
+        ("ab", 0, 0.0, "order must be >= 1"),
+        ("ab", 2, 0.0, "smoothing constant k must be finite and > 0"),
+    ], ids=["tab", "empty", "order", "k"])
+    def test_checks_come_before_the_corpus_is_read(self, symbols, order, k, message):
+        def unread():
+            raise AssertionError("the corpus was read")
+            yield
+
+        with pytest.raises(ValidationError) as exc:
+            train_ngram(unread(), symbols, order=order, k=k)
+        assert str(exc.value) == message
+
     def test_training_is_deterministic(self):
         corpus = ["the cat", "a cat sat"]
         symbols = "acehst "
@@ -181,7 +196,7 @@ class TestSerialization:
         lm = train_ngram(["abc cab"], "abc ", order=2)
         path = tmp_path / "model.nglm"
         save_ngram(lm, path)
-        reloaded = NgramLm.load(path)
+        reloaded = load_ngram(path)
         assert reloaded.order == lm.order
         assert self._roundtrip(reloaded) == self._roundtrip(lm)
 

@@ -247,7 +247,7 @@ class TestSerialization:
         scorer = TableScorer("ab", {"": {"a": 0.25, "b": 0.25, EOS: 0.5}})
         path = tmp_path / "scorer.s2sm"
         save_table_scorer(scorer, path)
-        reloaded = TableScorer.load(path)
+        reloaded = load_table_scorer(path)
         assert np.array_equal(reloaded.next_log_probs(""), scorer.next_log_probs(""))
 
     def test_numpy_probabilities_save_as_numbers(self):
