@@ -106,10 +106,11 @@ def slots(beam):
     return held, [v.tobytes() if isinstance(v, np.ndarray) else None for v in held]
 
 
-def run_both(alphabet, rows, config, lm):
-    """Step both implementations from the same beam on every row and compare;
-    returns the beams before each step.  A collapse must happen in both."""
-    beam = beam_init(alphabet, config, lm)
+def run_both(alphabet, rows, config, lm, beam=None):
+    """Step both implementations from the same beam (``beam``, or the initial
+    one) on every row and compare; returns the beams before each step.  A
+    collapse must happen in both."""
+    beam = beam_init(alphabet, config, lm) if beam is None else beam
     seen = []
     for row in rows:
         seen.append(beam)
@@ -215,11 +216,17 @@ class TestPrefixNodes:
     returning parent is found again by its tail.  Chunks of one to three
     characters make every path through the nodes run on short prefixes; with
     chunks of one every tail is empty, so only the check on the nodes tells
-    a parent from any other extension."""
+    a parent from any other extension.  The colliding cases start from
+    prefixes that differ only in their first chunk, so that at every chunk
+    size the tails meet across different nodes."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
-    def test_beams_match_the_reference(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_beams_match_the_reference(self, monkeypatch, chunk, colliding):
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
+        if colliding:
+            self.check_colliding_tails(chunk)
+            return
         for seed in range(4):
             rows = [make_row(kind, seed * 31 + i, SMALL.size)
                     for i, kind in enumerate(["zeros", "two-hot", "zeros", "uniform"] * 3)]
@@ -236,6 +243,33 @@ class TestPrefixNodes:
         rebuilt = Beam(WIDE, beam.hypotheses, beam.frame_index)
         assert snapshot(beam_step(rebuilt, row, config, WIDE_LM)) == \
             snapshot(beam_step(beam, row, config, WIDE_LM))
+
+    def check_colliding_tails(self, chunk):
+        """From a beam of ``c * chunk + s`` for every symbol c and every s of
+        "ba", "ab", "abc " and "c": each "ab" + "c" returns as the parent of
+        its own "abc " alone, beside three extensions with equal tails and
+        other first chunks; then "abc" + " " merges into "abc "."""
+        returns = [[0.05, 0.05, 0.4, 0.05, 0.45], [0.05, 0.05, 0.05, 0.4, 0.45]]
+        for lm, alpha in ((None, 0.0), (SMALL_LM, 0.5)):
+            def state(prefix):
+                if lm is None:
+                    return None
+                s = lm.initial_state()
+                for ch in prefix:
+                    s = lm.advance(s, ch)
+                return s
+            prefixes = [c * chunk + s for c in SMALL.symbols for s in ("ba", "ab", "abc ", "c")]
+            beam = Beam(SMALL, [Hypothesis(p, -1.1, -2.2, state(p), 0.0) for p in prefixes])
+            assert (beam._up == -1).all()
+            rows = returns + [make_row(kind, 5 + i, SMALL.size)
+                              for i, kind in enumerate(["zeros", "two-hot", "uniform"] * 2)]
+            seen = run_both(SMALL, rows, BeamConfig(width=100, alpha=alpha, beta=0.1), lm,
+                            beam)
+            first = seen[1]
+            spelled = [first._prefix(r) for r in range(len(first))]
+            for c in SMALL.symbols:
+                assert first._up[spelled.index(c * chunk + "abc ")] == \
+                    spelled.index(c * chunk + "abc")
 
     def test_ties_between_prefixes_that_part_early(self, monkeypatch):
         monkeypatch.setattr(beam_module, "_CHUNK", 1)
@@ -256,11 +290,14 @@ class TestCarriedParents:
     ABCD = Alphabet("abcd")
 
     @pytest.mark.parametrize("chunk", [1, 64])
-    def test_parent_found_among_new_extensions(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_parent_found_among_new_extensions(self, monkeypatch, chunk, colliding):
         monkeypatch.setattr(beam_module, "_CHUNK", chunk)
-        self.check_return("", ["ba", "ab", "abcd", "c"])
-        if chunk == 64:  # "d" * 64 + "abcd" has the parent tail "abc", as have the
-            # extensions "a" * 64 + "abc" and "b" * 64 + "abc", but neither is its parent
+        if not colliding:
+            self.check_return("", ["ba", "ab", "abcd", "c"])
+        else:  # "d" * 64 + "abcd" has the parent tail of the extensions
+            # "a" * 64 + "abc" and "b" * 64 + "abc" (at chunk 64 "abc", at chunk 1
+            # ""), but neither is its parent
             a = "a" * 64
             self.check_return(a, [a + "ba", a + "ab", a + "abcd", a + "c", "b" * 64 + "ab",
                                   "d" * 64 + "abcd"])
