@@ -10,12 +10,12 @@ runs 49 jobs on the valid inputs as ``python -m streamctc`` with the 3-gram
 LM: ``decode`` and ``stream --lag 22`` of the first 16 stream-default
 utterances, ``s2s-decode`` of the first 16 s2s-batch tables, and
 ``stream --lag 0 --beam-width 8`` of the first stream-long utterance; then
-8 jobs that each end on one error route.  The script exits 1 naming the
-first input file, or the first job whose stdout, stderr or exit code
-differs, and 0 when all are byte-identical.  The change is this checkout's
-working tree; the parent is the committed files of ``--parent``, unpacked
-into a temporary directory (``TMPDIR`` chooses where) by
-``bench_pairs.unpack``.
+11 jobs that each end on one error route or on a field at the edge of what
+``float()`` reads.  The script exits 1 naming the first input file, or the
+first job whose stdout, stderr or exit code differs, and 0 when all are
+byte-identical.  The change is this checkout's working tree; the parent is
+the committed files of ``--parent``, unpacked into a temporary directory
+(``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
 
 
 def fault_jobs() -> list[tuple[str, list[str], str | None]]:
-    """The jobs on the inputs of :func:`fault_inputs`, one per error route."""
+    """The jobs on the inputs of :func:`fault_inputs`: one per error route,
+    then three on fields that ``float()`` reads as NaN, rejects as empty,
+    or reads although they hold an underscore."""
     return [
         ("decode bad-float", ["decode", "bad-float.em", *LM], None),
         ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
@@ -68,16 +70,21 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
         ("decode missing-lm", ["decode", "utt000.em", "--lm", "missing.nglm"], None),
         ("decode crlf-lm", ["decode", "utt000.em", "--lm", "crlf.nglm"], None),
         ("s2s-decode bad-prob", ["s2s-decode", "bad-prob.s2sm", *LM], None),
+        ("decode nan-field", ["decode", "nan-field.em", *LM], None),
+        ("stream empty-field", ["stream", "--lag", "22", *LM], "empty-field.em"),
+        ("decode underscore-field", ["decode", "underscore-field.em", *LM], None),
     ]
 
 
 def fault_inputs(inputs: Path) -> dict[str, bytes]:
     """Malformed files, by name, made from the seed-1 inputs in ``inputs``:
-    the third emission row of ``utt000.em`` starts with a word, 0.5 or a
-    byte that is not UTF-8, or its last row comes twice; the LM has CRLF
-    line ends; the first entry of ``t000.s2sm`` is 1.5."""
+    the third emission row of ``utt000.em`` starts with a word, 0.5, a
+    byte that is not UTF-8, ``nan`` or ``0_1``, or its second field is
+    empty, or its last row comes twice; the LM has CRLF line ends; the
+    first entry of ``t000.s2sm`` is 1.5."""
     header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
     rest = rows[2][rows[2].index(b" "):]
+    first, _, *others = rows[2].split(b" ")
 
     def em(third: bytes) -> bytes:
         return b"".join([header, *rows[:2], third + rest, *rows[3:]])
@@ -92,6 +99,10 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         "crlf.nglm": (inputs / "lm.nglm").read_bytes().replace(b"\n", b"\r\n"),
         "bad-prob.s2sm": b"".join([s2s_header, entry[:entry.rindex(b"\t")], b"\t1.5\n",
                                    *entries]),
+        "nan-field.em": em(b"nan"),
+        "empty-field.em": b"".join([header, *rows[:2], b" ".join([first, b"", *others]),
+                                    *rows[3:]]),
+        "underscore-field.em": em(b"0_1"),
     }
 
 

@@ -94,6 +94,21 @@ class CharLm:
         chars = [self._tokens[t] for t in np.asarray(tokens).tolist()]
         return np.fromiter(map(self.advance, states, chars), dtype=object, count=len(chars))
 
+    def _complete_word(self, state, max_chars: int) -> str:
+        """The rollout :func:`~streamctc.streaming.lm_complete_word` returns."""
+        eos_index = len(self.symbols)
+        out: list[str] = []
+        while len(out) < max_chars:
+            best = int(self.next_log_probs(state).argmax())
+            if best == eos_index:
+                break
+            ch = self.symbols[best]
+            out.append(ch)
+            if ch == " ":
+                break
+            state = self.advance(state, ch)
+        return "".join(out)
+
     def log_prob(self, state, ch: str) -> float:
         return float(self.next_log_probs(state)[self.index_of(ch)])
 
@@ -155,8 +170,10 @@ class NgramLm(CharLm):
     The constructor checks every entry once, as the reader does (a count is
     ``operator.index(c)`` above 0), keeps the entries as columns and builds
     the whole table, one read-only log-probability row per stored context;
-    the automaton is built at first use.  Nothing changes after that, so
-    instances may be shared across threads.
+    the automaton is built at first use.  After that only a memo of word
+    completions grows, to one entry per state and budget at most; it holds
+    derived values, so instances may be shared across threads, and threads
+    that race on an entry compute the same word twice.
     """
 
     def __init__(self, symbols: str, order: int, k: float,
@@ -308,6 +325,17 @@ class NgramLm(CharLm):
         for table in (succ, rows):
             table.flags.writeable = False
         return succ, rows
+
+    @functools.cached_property
+    def _completions(self) -> dict[tuple[int, int], str]:
+        """:meth:`_complete_word` by (state, max_chars), filled as asked."""
+        return {}
+
+    def _complete_word(self, state, max_chars: int) -> str:
+        key = (operator.index(state), max_chars)
+        if key not in self._completions:
+            self._completions[key] = super()._complete_word(state, max_chars)
+        return self._completions[key]
 
     def initial_state(self) -> int:
         return self._entries[0].index("")

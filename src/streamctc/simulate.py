@@ -133,10 +133,13 @@ def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.nd
     fields = line.split(" ")
     if len(fields) != size:
         raise ParseError(f"expected {size} values, got {len(fields)}", line=lineno)
-    try:
-        row = np.array([float(f) for f in fields])
-    except ValueError as exc:
-        raise ParseError(f"bad float: {exc}", line=lineno) from exc
+    try:  # numpy reads each field as float() does
+        row = np.array(fields, dtype=np.float64)
+    except ValueError:
+        try:  # and float() words the fault
+            row = np.array([float(f) for f in fields])
+        except ValueError as exc:
+            raise ParseError(f"bad float: {exc}", line=lineno) from exc
     check_rows(row, f"line {lineno}: row")
     return row
 

@@ -13,7 +13,8 @@ beam-search result.
 A stream holds only its latest beam, and a window of the (best prefix,
 score) each of the last ``lag + 1`` beams showed; the committed prefix is
 the oldest in the window, spelled ``lag`` pushes earlier.  The word
-completion starts from the best hypothesis's LM state.
+completion depends only on the best hypothesis's LM state and the budget,
+by which an n-gram model memoizes it.
 """
 
 from __future__ import annotations
@@ -84,18 +85,7 @@ def lm_complete_word(prefix: str, lm: CharLm, max_chars: int = _COMPLETION_CHARS
         state = lm.initial_state()
         for ch in prefix:
             state = lm.advance(state, ch)
-    eos_index = len(lm.symbols)
-    out: list[str] = []
-    while len(out) < max_chars:
-        best = int(lm.next_log_probs(state).argmax())
-        if best == eos_index:
-            break
-        ch = lm.symbols[best]
-        out.append(ch)
-        if ch == " ":
-            break
-        state = lm.advance(state, ch)
-    return "".join(out)
+    return lm._complete_word(state, max_chars)
 
 
 class StreamingDecoder:

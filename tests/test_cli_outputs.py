@@ -18,7 +18,7 @@ def test_49_jobs_of_four_kinds():
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
     names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 57
+    assert len(names) == len(set(names)) == 60
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
@@ -36,6 +36,9 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
         "empty.em": b"",
         "crlf.nglm": b"NGLM v1 2 1.0 ab\r\n\ta\t1\r\n",
         "bad-prob.s2sm": b"S2SM v1 ab\n\ta\t1.5\n\tb\t0.5\n",
+        "nan-field.em": header + row * 2 + b"nan 0.25 0.5\n" + row,
+        "empty-field.em": header + row * 2 + b"0.25  0.5\n" + row,
+        "underscore-field.em": header + row * 2 + b"0_1 0.25 0.5\n" + row,
     }
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}

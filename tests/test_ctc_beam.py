@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamctc import (
     Alphabet,
@@ -19,6 +21,7 @@ from streamctc import (
     log_add,
     train_ngram,
 )
+from streamctc.beam import _log_add_many
 
 from conftest import one_hot_emissions, random_emissions
 
@@ -267,3 +270,42 @@ class TestConfig:
         assert log_add(NEG_INF, NEG_INF) == NEG_INF
         assert log_add(0.0, NEG_INF) == 0.0
         assert log_add(math.log(0.25), math.log(0.5)) == pytest.approx(math.log(0.75))
+
+
+def written_out_log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) spelled case by case."""
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+LOG_PROBS = st.one_of(st.just(NEG_INF), st.just(0.0), st.just(-0.0),
+                      st.floats(max_value=0.0, allow_nan=False),
+                      st.floats(min_value=-50.0, max_value=0.0))
+
+
+@st.composite
+def log_prob_pairs(draw):
+    """(a, b) of log-probabilities: apart, equal, or a large gap apart."""
+    a = draw(LOG_PROBS)
+    b = draw(st.one_of(LOG_PROBS, st.just(a),
+                       st.floats(min_value=30.0, max_value=1e300).map(lambda gap: a - gap)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestPairwiseLogAdd:
+    @given(st.lists(log_prob_pairs(), max_size=40))
+    @example([(NEG_INF, NEG_INF), (NEG_INF, -1.5), (-1.5, NEG_INF), (-0.7, -0.7),
+              (0.0, -800.0), (-800.0, -1e-300), (-0.0, 0.0), (0.0, -0.0)])
+    def test_each_pair_is_log_add(self, pairs):
+        a = np.array([p[0] for p in pairs], dtype=np.float64)
+        b = np.array([p[1] for p in pairs], dtype=np.float64)
+        out = _log_add_many(a, b)
+        assert out.dtype == np.float64 and out.shape == a.shape
+        expected = [log_add(x, y) for x, y in pairs]
+        assert list(map(float.hex, out.tolist())) == list(map(float.hex, expected))
+        written = [written_out_log_add(x, y) for x, y in pairs]
+        assert list(map(float.hex, expected)) == list(map(float.hex, written))

@@ -2,9 +2,12 @@
 
 import io
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamctc import (
     Alphabet,
@@ -19,6 +22,7 @@ from streamctc import (
     save_emissions,
     simulate,
 )
+from streamctc.ctc import check_rows
 from streamctc.simulate import parse_emission_row
 
 
@@ -165,6 +169,72 @@ class TestEmissionFileFormat:
         em = simulate("a b", ab, SimConfig(noise_seed=1))
         reloaded = load_emissions(io.StringIO(self._roundtrip_text(em)))
         assert reloaded.alphabet.symbols == "ab "
+
+
+def parse_row_by_list(line: str, size: int, lineno: int) -> np.ndarray:
+    """The row parse written with ``float()`` on every field."""
+    fields = line.split(" ")
+    if len(fields) != size:
+        raise ParseError(f"expected {size} values, got {len(fields)}", line=lineno)
+    try:
+        row = np.array([float(f) for f in fields])
+    except ValueError as exc:
+        raise ParseError(f"bad float: {exc}", line=lineno) from exc
+    check_rows(row, f"line {lineno}: row")
+    return row
+
+
+def parse_outcome(parse, line: str, size: int):
+    """The row's bytes, or the type, message and line of the error."""
+    try:
+        return parse(line, size, 7).tobytes()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+def respellings(text: str):
+    """Other spellings of a float field: padded, with an underscore between
+    two digits, or in Arabic-Indic digits."""
+    return st.sampled_from([text, f"\t{text}", f"{text}\u2003", text.translate(ARABIC_INDIC),
+                            re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)])
+
+
+ODD_FIELDS = st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e500", "1_0", "1__0",
+                              "_1", "0x1", "", " 1.0", "True", "\u0661", "\uff11", "1e-400"])
+
+
+@st.composite
+def emission_lines(draw):
+    """(line, size): a row that sums to 1, in fields spelled as ``repr``
+    or otherwise, some of them replaced by odd fields or random floats."""
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+    total = sum(weights)
+    values = [w / total for w in weights] if total > 0 else [1.0] + weights[1:]
+    fields = [draw(respellings(repr(v))) for v in values]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=2)):
+        fields[i] = draw(st.one_of(ODD_FIELDS, st.floats().map(repr)))
+    size = draw(st.sampled_from([len(fields), len(fields) + 1]))
+    return " ".join(fields), size
+
+
+class TestRowParse:
+    @given(emission_lines())
+    @example(("0.25 \t0.25 0.2_5\u2003 \u0660.\u0662\u0665", 4))
+    @example(("0.5  0.5", 3))
+    @example(("nan 0.5 0.5", 3))
+    @example(("0_1 0.5 0.5", 3))
+    def test_same_bits_or_same_error_as_float(self, case):
+        line, size = case
+        assert parse_outcome(parse_emission_row, line, size) \
+            == parse_outcome(parse_row_by_list, line, size)
+
+    def test_respelled_fields_give_the_same_row(self):
+        row = parse_emission_row("0.25 \t0.25 0.2_5\u2003 \u0660.\u0662\u0665", 4)
+        assert row.tobytes() == np.full(4, 0.25).tobytes()
 
 
 class TestSimConfig:

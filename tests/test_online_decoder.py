@@ -1,6 +1,9 @@
 """Streaming decoder: receptive fields, lagged commits, flush identity,
 word completions, and display-churn measurement."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +13,9 @@ from streamctc import metrics, streaming
 from streamctc import (
     Alphabet,
     BeamConfig,
+    CharLm,
     EmissionMatrix,
+    NgramLm,
     ReceptiveFieldSpec,
     StreamingDecoder,
     ValidationError,
@@ -272,6 +277,62 @@ class TestWordCompletion:
         for prefix in ["t", "th", "c", "s", "a"]:
             completion = lm_complete_word(prefix, lm)
             assert " " not in completion[:-1]
+
+    def test_memoized_completion_is_the_rollout(self):
+        lm = train_ngram(["the cat sat on the mat", "a hat", "that cheese"],
+                         "acehmnost ", order=3)
+        states = range(len(lm._automaton[0]))
+        budgets = [16, 0, 3, 1]
+        rollouts = {k: [CharLm._complete_word(lm, s, k) for s in states] for k in budgets}
+        assert lm._completions == {}  # the base rollout keeps no memo
+        for _ in range(2):  # fills the memo, then reads it
+            for k in budgets:
+                assert [lm._complete_word(s, k) for s in states] == rollouts[k]
+        assert len(lm._completions) == len(states) * len(budgets)
+        for k in budgets:
+            assert all(len(word) <= k for word in rollouts[k])
+            assert any(rollouts[k]) == (k > 0)
+
+    def test_threads_sharing_a_model_read_the_same_words(self):
+        lm = train_ngram(["the cat sat on the mat", "a hat", "that cheese"],
+                         "acehmnost ", order=3)
+        jobs = [(s, k) for s in range(len(lm._automaton[0])) for k in (16, 3)]
+        expected = [CharLm._complete_word(lm, s, k) for s, k in jobs]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(
+                [lm._complete_word(s, k) for s, k in jobs])) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        assert len(lm._completions) == len(jobs)
+
+    def test_memo_hits_advance_nothing_and_stay_bounded(self):
+        rng = np.random.default_rng(3)
+        ab = Alphabet("abc ")
+        lm = train_ngram(["ab ca", "cab a", "bb cc a"], ab.symbols, order=3)
+        dec = StreamingDecoder(ab, BeamConfig(width=4), lag=0, lm=lm)
+        outs, states = [], []
+        for row in random_emissions(rng, ab, 400).probs:
+            outs.append(dec.push(row))
+            states.append(dec._beam._state[0])
+        assert len(outs[-1].hypothesis) > 100
+        # at most one entry per automaton state and budget used
+        assert {chars for _, chars in lm._completions} == {16}
+        assert len(lm._completions) <= len(lm._automaton[0]) < len(outs)
+        advances = []  # the tracer counts advances as this does
+        lm.advance = lambda state, ch: advances.append(ch) or NgramLm.advance(lm, state, ch)
+        again = [lm_complete_word(out.hypothesis, lm, state=state)
+                 for out, state in zip(outs, states)]
+        assert again == [out.completion for out in outs]
+        assert advances == []
 
 
 class TestChangesPerFrame:
