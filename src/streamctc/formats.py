@@ -12,12 +12,13 @@ back; the module that owns a format checks what the values hold.
 from __future__ import annotations
 
 import contextlib
-from itertools import repeat
+import itertools
 from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .ctc import check_symbols
+from .errors import ParseError, ValidationError
 
 #: End-of-sentence token.  Scored like a character but never emitted by CTC
 #: decoding; used by seq2seq termination and word-completion rollouts.
@@ -62,29 +63,57 @@ def header_fields(line: str, magic: str, count: int) -> list[str]:
     return parts[2:]
 
 
+def check_header_alphabet(symbols: str) -> None:
+    """Raise ParseError on line 1 unless ``symbols``, the alphabet field of
+    an NGLM or S2SM header, passes the checks of every model's alphabet."""
+    if not symbols:
+        raise ParseError("header is missing the alphabet", line=1)
+    try:
+        check_symbols(symbols)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=1) from exc
+
+
 def entry_columns(lines: list[str], symbols: str):
     """``(keys, rows, cols, values)`` of a body: the distinct keys in file
     order, and each line's key row, token column (the symbols, then EOS) and
     value field, which may keep its line end (``int`` and ``float`` ignore
     it).  None if a line has another number of fields, a key or token is
-    outside the alphabet, or a (key, token) repeats.  Only strings are made
-    per line, so a long file does not set off the cyclic garbage collector."""
-    if "\n" in lines:
-        lines = list(filter("\n".__ne__, lines))
-    if not all(map((2).__eq__, map(str.count, lines, repeat("\t")))):
-        return None
+    outside the alphabet, or a (key, token) repeats.
+
+    The columns are read from one split of the tab-joined lines, and the
+    shape of the lines needs no pass of its own.  Every line but the last
+    ends in ``"\\n"`` or ``"\\r"``, which is in no alphabet and no token, so
+    a line end in a key or token field fails the checks that every entry
+    passes anyway.  Each line end then closes a value field, so each line
+    but the last holds three fields or a multiple of three; with 3 x lines
+    fields in all, every line holds exactly three.  Blank lines are dropped
+    only when the count is off: a blank line is one field, a line end.
+
+    Only strings are made per line, so a long file does not set off the
+    cyclic garbage collector."""
     fields = "\t".join(lines).split("\t") if lines else []
+    if len(fields) != 3 * len(lines):
+        if "\n" in lines:  # blank lines, which hold no entry
+            return entry_columns(list(filter("\n".__ne__, lines)), symbols)
+        return None
     key_col, token_col = fields[0::3], fields[1::3]
     token_index = dict(zip([*symbols, EOS], range(len(symbols) + 1)))
-    key_index = {key: i for i, key in enumerate(dict.fromkeys(key_col))}
-    if not set(token_col) <= token_index.keys() or not set("".join(key_index)) <= set(symbols):
+    try:
+        cols = np.fromiter(map(token_index.__getitem__, token_col), dtype=np.intp,
+                           count=len(token_col))
+    except KeyError:
         return None
-    rows = np.fromiter(map(key_index.__getitem__, key_col), dtype=np.intp, count=len(key_col))
-    cols = np.fromiter(map(token_index.__getitem__, token_col), dtype=np.intp,
-                       count=len(token_col))
+    # the line each key first appears on; the keys are numbered in that order
+    first_lines: dict[str, int] = {}
+    first = np.fromiter(map(first_lines.setdefault, key_col, itertools.count()), dtype=np.intp,
+                        count=len(key_col))
+    if not set("".join(first_lines)).issubset(symbols):
+        return None
+    rows = np.cumsum(first == np.arange(len(first)))[first] - 1
     if np.bincount(rows * (len(symbols) + 1) + cols, minlength=1).max() > 1:
         return None  # a duplicate entry
-    return list(key_index), rows, cols, fields[2::3]
+    return list(first_lines), rows, cols, fields[2::3]
 
 
 def write_entries(sink, header: str, keys: list[str], rows, cols, values: list,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .ctc import check_symbols
 from .errors import ParseError, ValidationError
-from .formats import (EOS, entry_columns, first_line, header_fields, opened, scan_entries,
-                      write_entries)
+from .formats import (EOS, check_header_alphabet, entry_columns, first_line, header_fields,
+                      opened, scan_entries, write_entries)
 
 NGLM_MAGIC = "NGLM v1"
 
@@ -265,7 +265,7 @@ class NgramLm(CharLm):
         if overflow.size:
             raise ValidationError(f"counts for context {tuple(contexts[overflow[0]])!r} "
                                   f"plus k * {self.vocab_size} overflow a float")
-        log_denoms = np.array(list(map(math.log, denoms.tolist())))
+        log_denoms = np.fromiter(map(math.log, denoms.tolist()), dtype=float, count=len(denoms))
         table = np.full((len(contexts), self.vocab_size), self.k)
         table[rows, cols] += values
         np.log(table, out=table)
@@ -417,8 +417,7 @@ def load_ngram(source) -> NgramLm:
             k = float(k_field)
         except ValueError as exc:
             raise ParseError(f"bad order/k in header: {exc}", line=1) from exc
-        if not symbols:
-            raise ParseError("header is missing the alphabet", line=1)
+        check_header_alphabet(symbols)
         lines = fh.readlines()
     entries = _ngram_entries(lines, symbols)
     try:

@@ -37,7 +37,8 @@ import numpy as np
 
 from .beam import ranked_cut
 from .errors import ParseError, ValidationError
-from .formats import entry_columns, first_line, header_fields, opened, scan_entries, write_entries
+from .formats import (check_header_alphabet, entry_columns, first_line, header_fields, opened,
+                      scan_entries, write_entries)
 from .lm import CharLm, UniformLm, check_log_rows
 
 S2SM_MAGIC = "S2SM v1"
@@ -149,6 +150,7 @@ def load_table_scorer(source) -> TableScorer:
     the first bad line when the fault is in one line."""
     with opened(source, "r") as fh:
         (symbols,) = header_fields(first_line(fh, "scorer"), S2SM_MAGIC, 1)
+        check_header_alphabet(symbols)
         lines = fh.readlines()
     entries = _table_entries(lines, symbols)
     try:
@@ -174,7 +176,7 @@ def _table_entries(lines: list[str], symbols: str):
         values = list(map(float, prob_fields))
     except ValueError:
         return None
-    probs = np.array(values)
+    probs = np.fromiter(values, dtype=float, count=len(values))
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
         return None
     table = np.zeros((len(prefixes), len(symbols) + 1))

@@ -91,6 +91,17 @@ class ReferenceNgramLm(CharLm):
         return vec
 
 
+def _header_alphabet(symbols: str) -> str:
+    """The alphabet field of a header; a fault in it is a fault of line 1."""
+    if not symbols:
+        raise ParseError("header is missing the alphabet", line=1)
+    if len(set(symbols)) != len(symbols):
+        raise ParseError("alphabet characters must be distinct", line=1)
+    if "\t" in symbols or "\r" in symbols or "\n" in symbols:
+        raise ParseError("tab/newline are not valid alphabet characters", line=1)
+    return symbols
+
+
 def _open_for_read(source):
     if hasattr(source, "read"):
         return source, False
@@ -112,9 +123,7 @@ def reference_load_ngram(source) -> ReferenceNgramLm:
             k = float(parts[3])
         except ValueError as exc:
             raise ParseError(f"bad order/k in header: {exc}", line=1) from exc
-        symbols = parts[4]
-        if not symbols:
-            raise ParseError("header is missing the alphabet", line=1)
+        symbols = _header_alphabet(parts[4])
         allowed = set(symbols)
         counts: dict[tuple[str, ...], dict[str, int]] = {}
         for lineno, raw in enumerate(fh, start=2):
@@ -206,7 +215,7 @@ def reference_load_table_scorer(source) -> ReferenceTableScorer:
         parts = header.split(" ", 2)
         if len(parts) != 3 or parts[0] != "S2SM" or parts[1] != "v1":
             raise ParseError(f"bad header {header!r}, expected '{S2SM_MAGIC} ...'", line=1)
-        symbols = parts[2]
+        symbols = _header_alphabet(parts[2])
         table: dict[str, dict[str, float]] = {}
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.rstrip("\n")

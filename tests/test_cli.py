@@ -557,9 +557,8 @@ class TestFileFaults:
         crlf.write_bytes(files[name].read_bytes().replace(b"\n", b"\r\n"))
         code, out, err = run(capsys, [arg.format(crlf=crlf, **files) for arg in argv])
         assert (code, out) == (3, "")
-        line = "line 1: " if route == "decode" else ""  # NGLM and S2SM name no line
         message = "tab/newline are not valid alphabet characters"
-        assert err == f"streamctc: parse error: {line}{message}\n"
+        assert err == f"streamctc: parse error: line 1: {message}\n"
 
     @pytest.mark.parametrize("encoding", [{"PYTHONIOENCODING": "utf-8:strict"},
                                           {"PYTHONIOENCODING": "latin-1"},

@@ -195,9 +195,15 @@ def mutated(draw, texts, bad_values):
     header, *body = text.split("\n")[:-1]
     kind = draw(st.sampled_from([
         "fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
-        "duplicate", "blank", "crlf", "empty", "no_body", "long_context"]))
+        "duplicate", "blank", "crlf", "empty", "no_body", "long_context", "balanced",
+        "alphabet"]))
+    symbols = header.split(" ", 4 if header.startswith("NGLM") else 2)[-1]
     if kind == "empty":
         return ""
+    if kind == "alphabet":
+        # a repeated character, a tab, a "\r" or nothing: each a fault of line 1
+        bad = draw(st.sampled_from([symbols + symbols[0], f"{symbols}\t", f"\r{symbols}", ""]))
+        return header[: len(header) - len(symbols)] + bad + text[len(header):]
     if kind == "no_body":
         return header + "\n"
     if kind == "cut":
@@ -224,12 +230,34 @@ def mutated(draw, texts, bad_values):
         body[i] = f"{ctx}\t{tok}\t{draw(bad_values)}"
     elif kind == "long_context":
         # four characters make a context too long for every NGLM order drawn
-        symbols = header.split(" ", 4 if header.startswith("NGLM") else 2)[-1]
         body[i] = f"{draw(st.text(symbols, min_size=4, max_size=4))}{ctx}\t{tok}\t{value}"
     elif kind == "duplicate":
         body.insert(draw(st.integers(0, len(body))), body[i])
     elif kind == "blank":
         body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", "\r", " "])))
+    elif kind == "balanced":
+        # one line loses a tab and another gains one, so the body still has
+        # 3 x lines fields; in either order, among blank and "\r" lines, with
+        # or without a final newline
+        if len(body) < 2:
+            body.append(f"{ctx}\t{tok}\t{value}")
+        j = draw(st.integers(0, len(body) - 2))
+        j += j >= i
+        if abs(i - j) == 1 and draw(st.booleans()):
+            # the line end between two lines moves one field over, so the
+            # fields read in order are those of the valid file
+            a, b = min(i, j), max(i, j)
+            fields = f"{body[a]}\t{body[b]}".split("\t")
+            cut = draw(st.sampled_from([2, 4]))
+            body[a], body[b] = "\t".join(fields[:cut]), "\t".join(fields[cut:])
+        else:
+            c, t, v = body[j].split("\t")
+            body[i] = draw(st.sampled_from([f"{ctx}{tok}\t{value}", f"{ctx}\t{tok}{value}"]))
+            body[j] = draw(st.sampled_from([f"{c}\t{t}\t{v}\t{v}", f"{c}\t\t{t}\t{v}",
+                                            f"\t{c}\t{t}\t{v}"]))
+        for _ in range(draw(st.integers(0, 2))):
+            body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", "\r"])))
+        return "\n".join([header, *body]) + draw(st.sampled_from(["\n", ""]))
     return "\n".join([header, *body]) + "\n"
 
 

@@ -200,6 +200,39 @@ class TestSerialization:
         assert reloaded.order == lm.order
         assert self._roundtrip(reloaded) == self._roundtrip(lm)
 
+    def test_load_builds_the_table_and_leaves_the_automaton(self, tmp_path):
+        path = tmp_path / "model.nglm"
+        save_ngram(train_ngram(["abc cab"], "abc ", order=3), path)
+        lm = load_ngram(path)
+        assert "_table" in vars(lm)
+        assert "_automaton" not in vars(lm)  # built at first use, not by the load
+
+    def test_each_load_reads_the_file(self, tmp_path):
+        # a file rewritten between two loads gives the new model: no load
+        # keeps anything for the next
+        path = tmp_path / "model.nglm"
+        first, second = train_ngram(["abab"], "ab", order=2), train_ngram(["bbba"], "ab", order=2)
+        save_ngram(first, path)
+        assert self._roundtrip(load_ngram(path)) == self._roundtrip(first)
+        save_ngram(second, path)
+        reloaded = load_ngram(path)
+        assert self._roundtrip(reloaded) == self._roundtrip(second) != self._roundtrip(first)
+        for text in ["", "ab", "bba"]:
+            assert (reloaded.sequence_log_prob(text, include_eos=True)
+                    == second.sequence_log_prob(text, include_eos=True))
+
+    @pytest.mark.parametrize("alphabet, message", [
+        ("aba", "alphabet characters must be distinct"),
+        ("a\tb", "tab/newline are not valid alphabet characters"),
+        ("ab\r", "tab/newline are not valid alphabet characters"),
+        ("", "header is missing the alphabet"),
+    ], ids=["repeated", "tab", "cr", "empty"])
+    def test_bad_alphabet_is_a_fault_of_line_1(self, alphabet, message):
+        # named before the body is read, so before its bad line 2
+        with pytest.raises(ParseError) as err:
+            load_ngram(io.StringIO(f"NGLM v1 2 1.0 {alphabet}\nbad\n"))
+        assert (err.value.line, str(err.value)) == (1, f"line 1: {message}")
+
     def test_truncated_file_is_parse_error(self):
         lm = train_ngram(["abab"], "ab", order=2)
         text = self._roundtrip(lm)

@@ -250,6 +250,25 @@ class TestSerialization:
         reloaded = load_table_scorer(path)
         assert np.array_equal(reloaded.next_log_probs(""), scorer.next_log_probs(""))
 
+    def test_load_builds_the_rows(self, tmp_path):
+        path = tmp_path / "scorer.s2sm"
+        save_table_scorer(TableScorer("ab", {"": {"a": 0.25, "b": 0.25, EOS: 0.5}}), path)
+        assert set(vars(load_table_scorer(path))["_rows"]) == {""}
+
+    def test_each_load_reads_the_file(self, tmp_path):
+        # a file rewritten between two loads gives the new scorer: no load
+        # keeps anything for the next
+        path = tmp_path / "scorer.s2sm"
+        first = TableScorer("ab", {"": {"a": 0.25, "b": 0.25, EOS: 0.5}})
+        second = TableScorer("ab", {"a": {"b": 1.0}})
+        save_table_scorer(first, path)
+        assert self._roundtrip_text(load_table_scorer(path)) == self._roundtrip_text(first)
+        save_table_scorer(second, path)
+        reloaded = load_table_scorer(path)
+        assert self._roundtrip_text(reloaded) == self._roundtrip_text(second)
+        assert np.array_equal(reloaded.next_log_probs("a"), second.next_log_probs("a"))
+        assert np.array_equal(reloaded.next_log_probs(""), second.next_log_probs(""))
+
     def test_numpy_probabilities_save_as_numbers(self):
         # under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)", which no reader parses
         scorer = TableScorer("ab", {"": dict(zip(["a", "b", EOS], np.array([0.25, 0.25, 0.5])))})
@@ -266,10 +285,13 @@ class TestSerialization:
             load_table_scorer(io.StringIO("S2SM v1 ab\na\tb\tlots\n"))
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("header", ["S2SM v1 aba\n", "S2SM v1 \n"])
+    @pytest.mark.parametrize("header", ["S2SM v1 aba\n", "S2SM v1 \n", "S2SM v1 a\tb\n",
+                                        "S2SM v1 ab\r\n"])
     def test_bad_alphabet_is_parse_error(self, header):
-        with pytest.raises(ParseError):
-            load_table_scorer(io.StringIO(header))
+        # a fault of line 1, named before the body's bad line 2
+        with pytest.raises(ParseError) as err:
+            load_table_scorer(io.StringIO(f"{header}bad\n"))
+        assert err.value.line == 1
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ParseError):
