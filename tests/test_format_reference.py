@@ -4,6 +4,8 @@ for bit, save -> load -> save byte-identical, and every malformed file
 rejected with the same exception, message and line."""
 
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -187,16 +189,18 @@ def outcome(load, text):
     return "ok", [hexes(model.next_log_probs(key)) for key in keys]
 
 
+KINDS = ["fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
+         "duplicate", "blank", "crlf", "empty", "no_body", "long_context", "balanced",
+         "alphabet"]
+
+
 @st.composite
-def mutated(draw, texts, bad_values):
+def mutated(draw, texts, bad_values, kinds=KINDS):
     """A valid file with one fault of the kinds a hand-edited or cut file
     has, at a drawn line."""
     text = draw(texts)
     header, *body = text.split("\n")[:-1]
-    kind = draw(st.sampled_from([
-        "fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
-        "duplicate", "blank", "crlf", "empty", "no_body", "long_context", "balanced",
-        "alphabet"]))
+    kind = draw(st.sampled_from(kinds))
     symbols = header.split(" ", 4 if header.startswith("NGLM") else 2)[-1]
     if kind == "empty":
         return ""
@@ -241,16 +245,16 @@ def mutated(draw, texts, bad_values):
         # or without a final newline
         if len(body) < 2:
             body.append(f"{ctx}\t{tok}\t{value}")
-        j = draw(st.integers(0, len(body) - 2))
-        j += j >= i
-        if abs(i - j) == 1 and draw(st.booleans()):
+        if draw(st.booleans()):
             # the line end between two lines moves one field over, so the
             # fields read in order are those of the valid file
-            a, b = min(i, j), max(i, j)
-            fields = f"{body[a]}\t{body[b]}".split("\t")
+            a = draw(st.integers(0, len(body) - 2))
+            fields = f"{body[a]}\t{body[a + 1]}".split("\t")
             cut = draw(st.sampled_from([2, 4]))
-            body[a], body[b] = "\t".join(fields[:cut]), "\t".join(fields[cut:])
+            body[a], body[a + 1] = "\t".join(fields[:cut]), "\t".join(fields[cut:])
         else:
+            j = draw(st.integers(0, len(body) - 2))
+            j += j >= i
             c, t, v = body[j].split("\t")
             body[i] = draw(st.sampled_from([f"{ctx}{tok}\t{value}", f"{ctx}\t{tok}{value}"]))
             body[j] = draw(st.sampled_from([f"{c}\t{t}\t{v}\t{v}", f"{c}\t\t{t}\t{v}",
@@ -264,6 +268,19 @@ def mutated(draw, texts, bad_values):
 BAD_COUNTS = st.sampled_from(["x", "1.5", "0", "-3", "", " ", "nan", "1e3"])
 # a value in [0, 1] breaks its row's sum; the others are out of range
 BAD_PROBABILITIES = st.sampled_from(["nan", "inf", "-inf", "-0.25", "1.5", "x", "", "0.123"])
+
+
+@st.composite
+def lone_crs(draw, texts):
+    """A drawn file in which any body line ends become a lone "\\r", and a
+    "\\r" may go in elsewhere: read from a path, a lone "\\r" ends a line."""
+    header, newline, body = draw(texts).partition("\n")
+    lines = body.split("\n")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r"]), min_size=len(lines) - 1,
+                         max_size=len(lines) - 1))
+    text = header + newline + "".join(map(str.__add__, lines, ends)) + lines[-1]
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["", "\r"])) + text[at:]
 
 
 class TestMalformedFiles:
@@ -280,3 +297,25 @@ class TestMalformedFiles:
     @given(mutated(s2sm_texts(), BAD_PROBABILITIES))
     def test_table_faults_match_the_reference(self, text):
         assert outcome(load_table_scorer, text) == outcome(reference_load_table_scorer, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_files_read_from_a_path_match_the_reference(self, ngram, data):
+        # the faults that move fields across line ends, with some line ends
+        # a lone "\r"
+        kinds = ["balanced", "fields", "blank", "value"]
+        if ngram:
+            load, reference = load_ngram, reference_load_ngram
+            texts = mutated(nglm_texts(), BAD_COUNTS, kinds)
+        else:
+            load, reference = load_table_scorer, reference_load_table_scorer
+            texts = mutated(s2sm_texts(), BAD_PROBABILITIES, kinds)
+        text = data.draw(lone_crs(texts))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            expected = outcome(lambda _: reference(path), text)
+            if expected[0] is ValidationError:
+                expected = (ParseError, expected[1], None)
+            assert outcome(lambda _: load(path), text) == expected
