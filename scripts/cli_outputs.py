@@ -11,9 +11,13 @@ LM: ``decode`` and ``stream --lag 22`` of the first 16 stream-default
 utterances, ``s2s-decode`` of the first 16 s2s-batch tables, and
 ``stream --lag 0 --beam-width 8`` of the first stream-long utterance; then
 11 jobs that each end on one error route or on a field at the edge of what
-``float()`` reads.  The script exits 1 naming the first input file, or the
-first job whose stdout, stderr or exit code differs, and 0 when all are
-byte-identical.  The change is this checkout's working tree; the parent is
+``float()`` reads; then a ``decode`` and an ``s2s-decode`` with an LM whose
+header lists the alphabet reversed, so both searches gather the LM's
+columns into their own order.  The script exits 1 naming the first input
+file, or the first job whose stdout, stderr or exit code differs, and 0
+when all are byte-identical.  Every job runs in a new process with its own
+random hash seed, so ``--parent HEAD`` checks that the outputs do not
+depend on it.  The change is this checkout's working tree; the parent is
 the committed files of ``--parent``, unpacked into a temporary directory
 (``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
 """
@@ -60,7 +64,8 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
 def fault_jobs() -> list[tuple[str, list[str], str | None]]:
     """The jobs on the inputs of :func:`fault_inputs`: one per error route,
     then three on fields that ``float()`` reads as NaN, rejects as empty,
-    or reads although they hold an underscore."""
+    or reads although they hold an underscore, then two with the reversed
+    LM."""
     return [
         ("decode bad-float", ["decode", "bad-float.em", *LM], None),
         ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
@@ -73,6 +78,8 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
         ("decode nan-field", ["decode", "nan-field.em", *LM], None),
         ("stream empty-field", ["stream", "--lag", "22", *LM], "empty-field.em"),
         ("decode underscore-field", ["decode", "underscore-field.em", *LM], None),
+        ("decode reversed-lm", ["decode", "utt000.em", "--lm", "reversed.nglm"], None),
+        ("s2s-decode reversed-lm", ["s2s-decode", "t000.s2sm", "--lm", "reversed.nglm"], None),
     ]
 
 
@@ -80,8 +87,9 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
     """Malformed files, by name, made from the seed-1 inputs in ``inputs``:
     the third emission row of ``utt000.em`` starts with a word, 0.5, a
     byte that is not UTF-8, ``nan`` or ``0_1``, or its second field is
-    empty, or its last row comes twice; the LM has CRLF line ends; the
-    first entry of ``t000.s2sm`` is 1.5."""
+    empty, or its last row comes twice; the LM has CRLF line ends, or
+    its header lists the alphabet reversed over the same body; the first
+    entry of ``t000.s2sm`` is 1.5."""
     header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
     rest = rows[2][rows[2].index(b" "):]
     first, _, *others = rows[2].split(b" ")
@@ -90,6 +98,8 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         return b"".join([header, *rows[:2], third + rest, *rows[3:]])
 
     s2s_header, entry, *entries = (inputs / "t000.s2sm").read_bytes().splitlines(keepends=True)
+    lm_header, lm_body = (inputs / "lm.nglm").read_bytes().split(b"\n", 1)
+    lm_fields = lm_header.split(b" ", 4)
     return {
         "bad-float.em": em(b"x"),
         "bad-sum.em": em(b"0.5"),
@@ -103,12 +113,15 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         "empty-field.em": b"".join([header, *rows[:2], b" ".join([first, b"", *others]),
                                     *rows[3:]]),
         "underscore-field.em": em(b"0_1"),
+        "reversed.nglm": b" ".join([*lm_fields[:4], lm_fields[4].decode()[::-1].encode()])
+                         + b"\n" + lm_body,
     }
 
 
 def side_env(checkout: Path) -> dict[str, str]:
-    """The environment that runs ``checkout``'s package and ``inputs`` module."""
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+    """The environment that runs ``checkout``'s package and ``inputs`` module,
+    each process with its own random hash seed."""
+    return {**os.environ, "PYTHONHASHSEED": "random", "PYTHONPATH": os.pathsep.join(
         [str(checkout / "src"), str(checkout / "streambench")])}
 
 

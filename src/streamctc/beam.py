@@ -110,10 +110,11 @@ def _prefix_order(ks: np.ndarray, prefixes_of) -> list[int]:
 def ranked_cut(scores: np.ndarray, width: int, prefixes_of) -> np.ndarray:
     """The entries k of the ``width`` best ``scores`` by (-score, prefix, k):
     the best of them first, the rest in no fixed order.  Prefixes decide
-    only two things, through ``prefixes_of(ks)`` (strings that order as the
-    prefixes of the entries ``ks`` do): which entries equal to the
-    width-th best score are kept, when not all of them fit, and which entry
-    is first, when more than one ties for the best score."""
+    only two things, through ``prefixes_of(ks)`` (keys that order as the
+    prefixes of the entries ``ks`` do, not necessarily the prefixes
+    themselves): which entries equal to the width-th best score are kept,
+    when not all of them fit, and which entry is first, when more than one
+    ties for the best score."""
     if scores.size > width:
         kth = np.partition(scores, -width)[-width]
         kept = (scores >= kth).nonzero()[0]

@@ -179,7 +179,7 @@ class NgramLm(CharLm):
     def __init__(self, symbols: str, order: int, k: float,
                  counts: dict[tuple[str, ...], dict[str, int]]):
         super().__init__(symbols)
-        self._set_order_and_k(order, k)
+        self.order, self.k = self._checked_order_and_k(order, k)
         if () not in counts:
             raise ValidationError("counts must include the empty context")
         rows: list[int] = []
@@ -229,16 +229,16 @@ class NgramLm(CharLm):
         constructor's order, and no entries yet."""
         lm = cls.__new__(cls)
         CharLm.__init__(lm, symbols)
-        lm._set_order_and_k(order, k)
+        lm.order, lm.k = lm._checked_order_and_k(order, k)
         return lm
 
-    def _set_order_and_k(self, order: int, k: float) -> None:
+    @staticmethod
+    def _checked_order_and_k(order: int, k: float) -> tuple[int, float]:
         if order < 1:
             raise ValidationError("order must be >= 1")
         if not 0 < k < math.inf:
             raise ValidationError("smoothing constant k must be finite and > 0")
-        self.order = order
-        self.k = float(k)
+        return order, float(k)
 
     def _check_context(self, ctx: tuple[str, ...]) -> None:
         if len(ctx) >= self.order:
@@ -413,10 +413,11 @@ def load_ngram(source) -> NgramLm:
         order_field, k_field, symbols = header_fields(
             first_line(fh, "language model"), NGLM_MAGIC, 3)
         try:
-            order = int(order_field)
-            k = float(k_field)
+            order, k = NgramLm._checked_order_and_k(int(order_field), float(k_field))
         except ValueError as exc:
             raise ParseError(f"bad order/k in header: {exc}", line=1) from exc
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=1) from exc
         check_header_alphabet(symbols)
         lines = fh.readlines()
     entries = _ngram_entries(lines, symbols)

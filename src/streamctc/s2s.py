@@ -10,14 +10,18 @@ fused scores are comparable across lengths; hypotheses still unfinished at
 ``max_length`` are force-finalized the same way.
 
 A step reads the scorer and LM rows of the at most W active hypotheses,
-which all have the same length L, with one batched call each.  numpy
-scores each active's end-of-sentence final over LP(L) and all W x |A|
-extensions over LP(L + 1) at once.  The kept finals and the extensions go
-through :func:`streamctc.beam.ranked_cut`, the CTC beam's cut: the W best
-by (-score, prefix, kind) survive, as a set in no fixed order but for the
-best first.  Only the surviving extensions advance the scorer and the LM,
-again in one batched call each; the best final is the least of the kept
-finals by (-score, prefix).
+which all have the same length L, with one batched call each; an LM's int
+states stay an int array, and its columns are gathered into scorer order
+only when it lists the symbols in another.  numpy divides the (W, |A| + 1)
+grid of fused totals, each active's extensions over LP(L + 1) and its end
+in the last column over LP(L), into one candidate array with the kept
+finals: a float array of scores beside a list of prefixes.
+:func:`streamctc.beam.ranked_cut`, the CTC beam's cut, keeps the W best by
+(-score, prefix) as a set with the best first; no two candidates share a
+prefix, as an extension is L + 1 long and no final is longer than L.  Only
+the surviving extensions advance the scorer and the LM, in one batched
+call each; the best final is the highest score, ties going to the least
+prefix.
 
 The search stops early, with the same result, once the best kept final
 scores strictly above (log p(y|x) + alpha * log p_LM(y)) / LP(max_length)
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import ranked_cut
+from .beam import _state_array, ranked_cut
 from .errors import ParseError, ValidationError
 from .formats import (check_header_alphabet, entry_columns, first_line, header_fields, opened,
                       scan_entries, write_entries)
@@ -214,54 +218,77 @@ def s2s_decode(
     symbols = scorer.symbols
     m = len(symbols)
     # LM columns in scorer order, end of sentence last, as in a scorer row
-    lm_index = np.array([lm.index_of(c) for c in symbols] + [len(lm.symbols)])
+    lm_cols = (None if lm.symbols == symbols
+               else np.array([lm.index_of(c) for c in symbols] + [len(lm.symbols)]))
+    chars = [*symbols, ""]  # a candidate's last character; none for an end
     alpha, beta, width = config.alpha, config.beta, config.width
     ceiling = length_penalty(config.max_length, beta)
 
     # actives, all of one length: prefixes, scorer and LM states, and
-    # log p(y|x) and log p_LM(y); finals: (-fused score, prefix), in no
+    # log p(y|x) and log p_LM(y); finals: fused scores and prefixes, in no
     # fixed order
     prefixes = [""]
     sc_states = np.fromiter([scorer.initial_state()], dtype=object, count=1)
-    lm_states = np.fromiter([lm.initial_state()], dtype=object, count=1)
+    lm_states = _state_array([lm.initial_state()])
     base_sc = base_lm = np.zeros(1)
-    finals: list[tuple[float, str]] = []
+    finals = np.empty(0)
+    final_prefixes: list[str] = []
+    lp = length_penalty(0, beta)
 
     for length in range(config.max_length + 1):
         sc_rows = scorer.next_log_probs_many(sc_states)
-        lm_rows = lm.next_log_probs_many(lm_states)[:, lm_index]
+        lm_rows = lm.next_log_probs_many(lm_states)
+        if lm_cols is not None:
+            lm_rows = lm_rows[:, lm_cols]
         check_log_rows(sc_rows, "scorer")
         check_log_rows(lm_rows, "LM")
         sc = base_sc[:, None] + sc_rows
         lm_lp = base_lm[:, None] + lm_rows
         total = sc + alpha * lm_lp if alpha else sc
-        # each active also ends here, with its end-of-sentence terms
-        ends = (total[:, m] / length_penalty(length, beta)).tolist()
-        finals += [(-score, prefix) for score, prefix in zip(ends, prefixes)]
         if length == config.max_length:
-            break  # the length cap: everything still active is now final
+            # the length cap: every active ends here, with its end-of-sentence terms
+            finals = np.concatenate((finals, total[:, m] / lp))
+            final_prefixes += prefixes
+            break
 
-        ext = total[:, :m] / length_penalty(length + 1, beta)
-        nf = len(finals)
-        scores = np.concatenate(([-neg for neg, _ in finals], ext.ravel()))
+        # Candidate k < g is entry k of the (n, m + 1) grid over total: an
+        # active's extension over LP(L + 1), or its end in column m over
+        # LP(L).  Candidate g + i is kept final i.
+        g, next_lp = total.size, length_penalty(length + 1, beta)
+        divisors = np.full(m + 1, next_lp)
+        divisors[m] = lp
+        scores = np.concatenate(((total / divisors).ravel(), finals))
 
         def prefixes_of(ks: list[int]) -> list[str]:
-            return [finals[k][1] if k < nf else prefixes[(k - nf) // m] + symbols[(k - nf) % m]
+            return [prefixes[k // (m + 1)] + chars[k % (m + 1)] if k < g else final_prefixes[k - g]
                     for k in ks]
 
-        # finals come first in k, so the cut keeps the best by (-score, prefix, kind)
-        ks = ranked_cut(scores, width, prefixes_of)
-        finals = [finals[k] for k in ks[ks < nf].tolist()]
-        rows, cols = np.divmod(ks[ks >= nf] - nf, m)
-        prefixes = [prefixes[i] + symbols[j] for i, j in zip(rows.tolist(), cols.tolist())]
+        # the survivors in one Python pass, cheaper than numpy masks at W entries
+        kept, ended, grown, rs, cs = [], [], [], [], []
+        for k in ranked_cut(scores, width, prefixes_of).tolist():
+            if k >= g:  # a kept final
+                kept.append(k)
+                ended.append(final_prefixes[k - g])
+                continue
+            r, c = divmod(k, m + 1)
+            if c == m:  # a new end
+                kept.append(k)
+                ended.append(prefixes[r])
+            else:
+                rs.append(r)
+                cs.append(c)
+                grown.append(prefixes[r] + chars[c])
+        finals, final_prefixes, prefixes = scores[kept], ended, grown
         if not prefixes:
             break
+        rows, cols = np.array(rs, dtype=np.intp), np.array(cs, dtype=np.intp)
         sc_states = scorer.advance_many(sc_states[rows], cols)
-        lm_states = lm.advance_many(lm_states[rows], lm_index[cols])
+        lm_states = lm.advance_many(lm_states[rows], cols if lm_cols is None else lm_cols[cols])
         base_sc, base_lm = sc[rows, cols], lm_lp[rows, cols]
+        lp = next_lp
         # No descendant of an active scores above bound / LP(max_length).
-        if finals and -min(finals)[0] > float(total[rows, cols].max()) / ceiling:
+        if finals.size and finals.max() > float(total[rows, cols].max()) / ceiling:
             break
 
-    neg_score, prefix = min(finals)
+    neg_score, prefix = min(zip((-finals).tolist(), final_prefixes))
     return prefix, -neg_score

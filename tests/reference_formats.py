@@ -41,8 +41,8 @@ class ReferenceNgramLm(CharLm):
         super().__init__(symbols)
         if order < 1:
             raise ValidationError("order must be >= 1")
-        if not k > 0:
-            raise ValidationError("smoothing constant k must be > 0")
+        if not 0 < k < math.inf:
+            raise ValidationError("smoothing constant k must be finite and > 0")
         if () not in counts:
             raise ValidationError("counts must include the empty context")
         for ctx, dist in counts.items():
@@ -123,6 +123,10 @@ def reference_load_ngram(source) -> ReferenceNgramLm:
             k = float(parts[3])
         except ValueError as exc:
             raise ParseError(f"bad order/k in header: {exc}", line=1) from exc
+        if order < 1:
+            raise ParseError("order must be >= 1", line=1)
+        if not 0 < k < math.inf:
+            raise ParseError("smoothing constant k must be finite and > 0", line=1)
         symbols = _header_alphabet(parts[4])
         allowed = set(symbols)
         counts: dict[tuple[str, ...], dict[str, int]] = {}

@@ -18,7 +18,7 @@ def test_49_jobs_of_four_kinds():
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
     names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 60
+    assert len(names) == len(set(names)) == 62
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
@@ -39,10 +39,11 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
         "nan-field.em": header + row * 2 + b"nan 0.25 0.5\n" + row,
         "empty-field.em": header + row * 2 + b"0.25  0.5\n" + row,
         "underscore-field.em": header + row * 2 + b"0_1 0.25 0.5\n" + row,
+        "reversed.nglm": b"NGLM v1 2 1.0 ba\n\ta\t1\n",
     }
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}
-    assert read == {*faults, "utt000.em", "lm.nglm", "missing.nglm"}
+    assert read == {*faults, "utt000.em", "t000.s2sm", "lm.nglm", "missing.nglm"}
 
 
 def test_first_difference_names_a_changed_or_missing_file(tmp_path):

@@ -192,6 +192,7 @@ def outcome(load, text):
 KINDS = ["fields", "truncate", "cut", "outside", "eos_in_context", "token", "value",
          "duplicate", "blank", "crlf", "empty", "no_body", "long_context", "balanced",
          "alphabet"]
+NGLM_KINDS = [*KINDS, "order_k"]
 
 
 @st.composite
@@ -214,6 +215,15 @@ def mutated(draw, texts, bad_values, kinds=KINDS):
         return text[: draw(st.integers(0, len(text) - 1))]
     if kind == "crlf":
         return text.replace("\n", "\r\n")
+    if kind == "order_k":
+        # an NGLM order below 1 or a k outside (0, inf), each a fault of
+        # line 1, with a bad body line after it or none
+        fields = header.split(" ", 4)
+        at = draw(st.sampled_from([2, 3]))
+        fields[at] = draw(st.sampled_from(
+            ["0", "-1", "-0"] if at == 2 else ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e400"]))
+        header = " ".join(fields)
+        kind = draw(st.sampled_from(["fields", "value", "none"]))
     i = draw(st.integers(0, len(body) - 1)) if body else 0
     if not body:
         body = [""]
@@ -285,7 +295,7 @@ def lone_crs(draw, texts):
 
 class TestMalformedFiles:
     @settings(max_examples=400, deadline=None)
-    @given(mutated(nglm_texts(), BAD_COUNTS))
+    @given(mutated(nglm_texts(), BAD_COUNTS, NGLM_KINDS))
     def test_ngram_faults_match_the_reference(self, text):
         expected = outcome(reference_load_ngram, text)
         if expected[0] is ValidationError:
@@ -306,7 +316,7 @@ class TestMalformedFiles:
         kinds = ["balanced", "fields", "blank", "value"]
         if ngram:
             load, reference = load_ngram, reference_load_ngram
-            texts = mutated(nglm_texts(), BAD_COUNTS, kinds)
+            texts = mutated(nglm_texts(), BAD_COUNTS, [*kinds, "order_k"])
         else:
             load, reference = load_table_scorer, reference_load_table_scorer
             texts = mutated(s2sm_texts(), BAD_PROBABILITIES, kinds)

@@ -16,6 +16,8 @@ from reference_s2s import reference_s2s_decode
 SYMBOLS = "cab"
 CORPUS = ["ab ba", "abc cab", "a b c", "aa bb cc", "cab"]
 LMS = [UniformLm(SYMBOLS)] + [train_ngram(CORPUS, SYMBOLS, order=n) for n in (1, 2, 3)]
+# the same characters in another order, so LM columns are gathered into scorer order
+LMS.append(train_ngram(CORPUS, "abc", order=2))
 
 
 class DrawnScorer(CharLm):
@@ -94,7 +96,8 @@ class TestMatchesReference:
         # off the target every row is uniform, so extensions tie at the cut
         for target, peak in [("abc", 0.9), ("cabbac", 0.5), ("a", 0.3)]:
             config = S2SConfig(width=width, alpha=alpha, beta=0.7, max_length=30)
-            assert_same(peaked_scorer(target, peak), config, LMS[3])
+            for lm in LMS[3:]:
+                assert_same(peaked_scorer(target, peak), config, lm)
 
 
 class TestEarlyStop:
