@@ -251,9 +251,9 @@ def s2s_decode(
             final_prefixes += prefixes
             break
 
-        # Candidate k < g is entry k of the (n, m + 1) grid over total: an
-        # active's extension over LP(L + 1), or its end in column m over
-        # LP(L).  Candidate g + i is kept final i.
+        # Candidate k < g is entry k of total, one row per active: an
+        # extension over LP(L + 1), or in column m the end over LP(L).
+        # Candidate g + i is kept final i.
         g, next_lp = total.size, length_penalty(length + 1, beta)
         divisors = np.full(m + 1, next_lp)
         divisors[m] = lp
