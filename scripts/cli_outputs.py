@@ -13,9 +13,13 @@ utterances, ``s2s-decode`` of the first 16 s2s-batch tables, and
 11 jobs that each end on one error route or on a field at the edge of what
 ``float()`` reads; then a ``decode`` and an ``s2s-decode`` with an LM whose
 header lists the alphabet reversed, so both searches gather the LM's
-columns into their own order.  The script exits 1 naming the first input
-file, or the first job whose stdout, stderr or exit code differs, and 0
-when all are byte-identical.  Every job runs in a new process with its own
+columns into their own order; then 4 ``decode`` jobs on the 97-row
+``utt001.em`` whose line 70, inside the second block of rows that
+``decode`` parses and checks together, holds a bad float, a row summing
+to 0.5 or a byte that is not UTF-8, or is the first of two blank lines.
+The script exits 1 naming the first input file, or the first job whose
+stdout, stderr or exit code differs, and 0 when all are byte-identical.
+Every job runs in a new process with its own
 random hash seed, so ``--parent HEAD`` checks that the outputs do not
 depend on it.  The change is this checkout's working tree; the parent is
 the committed files of ``--parent``, unpacked into a temporary directory
@@ -65,7 +69,7 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
     """The jobs on the inputs of :func:`fault_inputs`: one per error route,
     then three on fields that ``float()`` reads as NaN, rejects as empty,
     or reads although they hold an underscore, then two with the reversed
-    LM."""
+    LM, then four with line 70 of a 97-row utterance spoiled."""
     return [
         ("decode bad-float", ["decode", "bad-float.em", *LM], None),
         ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
@@ -80,6 +84,8 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
         ("decode underscore-field", ["decode", "underscore-field.em", *LM], None),
         ("decode reversed-lm", ["decode", "utt000.em", "--lm", "reversed.nglm"], None),
         ("s2s-decode reversed-lm", ["s2s-decode", "t000.s2sm", "--lm", "reversed.nglm"], None),
+        *((f"decode line70-{fault}", ["decode", f"line70-{fault}.em", *LM], None)
+          for fault in ("bad-float", "bad-sum", "not-utf8", "blank")),
     ]
 
 
@@ -89,13 +95,21 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
     byte that is not UTF-8, ``nan`` or ``0_1``, or its second field is
     empty, or its last row comes twice; the LM has CRLF line ends, or
     its header lists the alphabet reversed over the same body; the first
-    entry of ``t000.s2sm`` is 1.5."""
+    entry of ``t000.s2sm`` is 1.5; line 70 of ``utt001.em`` starts with a
+    word or a byte that is not UTF-8, or sums to 0.5, or two blank lines
+    come before it."""
     header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
     rest = rows[2][rows[2].index(b" "):]
     first, _, *others = rows[2].split(b" ")
 
     def em(third: bytes) -> bytes:
         return b"".join([header, *rows[:2], third + rest, *rows[3:]])
+
+    header97, *rows97 = (inputs / "utt001.em").read_bytes().splitlines(keepends=True)
+    row70 = rows97[68]  # line 70
+
+    def line70(*lines: bytes) -> bytes:
+        return b"".join([header97, *rows97[:68], *lines, *rows97[69:]])
 
     s2s_header, entry, *entries = (inputs / "t000.s2sm").read_bytes().splitlines(keepends=True)
     lm_header, lm_body = (inputs / "lm.nglm").read_bytes().split(b"\n", 1)
@@ -115,6 +129,10 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         "underscore-field.em": em(b"0_1"),
         "reversed.nglm": b" ".join([*lm_fields[:4], lm_fields[4].decode()[::-1].encode()])
                          + b"\n" + lm_body,
+        "line70-bad-float.em": line70(b"x" + row70[row70.index(b" "):]),
+        "line70-bad-sum.em": line70(b" ".join([b"0.5"] + [b"0.0"] * row70.count(b" ")) + b"\n"),
+        "line70-not-utf8.em": line70(b"\xff" + row70[row70.index(b" "):]),
+        "line70-blank.em": line70(b"\n", b"\n", row70),
     }
 
 

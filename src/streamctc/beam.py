@@ -50,7 +50,9 @@ the hypotheses in (-score, prefix) order, sorted when first read.
 decodes can share beams, and the streaming decoder's beam after frame t is
 exactly the offline beam over the same rows.  It rejects emission rows that
 are not finite, in [0, 1] and summing to 1, and LM rows holding NaN or a
-log-probability above 0, whatever route they came by.
+log-probability above 0, whatever route they came by.  Only the package's
+readers skip the row check, by handing it a private frame: a row they have
+checked, already logged.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import exp, log1p
+from math import exp, isfinite, log1p
 from typing import Iterable
 
 import numpy as np
@@ -102,8 +104,10 @@ def _length_powers(beta: float, size: int) -> np.ndarray:
 
 
 def _prefix_order(ks: np.ndarray, prefixes_of) -> list[int]:
-    """The positions in ``ks`` of its entries ordered by (prefix, k)."""
-    keys = list(zip(prefixes_of(ks.tolist()), ks.tolist()))
+    """The positions in ``ks`` of its entries ordered by (prefix, k).  ``ks``
+    ascends or is in that order already, so a stable sort by prefix alone
+    keeps k as the tie-break."""
+    keys = prefixes_of(ks.tolist())
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
@@ -142,6 +146,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ValidationError("beam width must be >= 1")
+        if not (isfinite(self.alpha) and isfinite(self.beta)):
+            raise ValidationError("alpha and beta must be finite")
         if self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
         if self.beta < 0:
@@ -343,26 +349,60 @@ def beam_init(alphabet: Alphabet, config: BeamConfig, lm: CharLm | None = None) 
     return Beam(alphabet, (Hypothesis("", 0.0, NEG_INF, lm.initial_state(), 0.0),), 0)
 
 
+class _Frame:
+    """An emission row that a reader of the package has checked, as
+    :func:`beam_step` reads it: the log row with the blank column at -inf,
+    and the blank's log-probability."""
+
+    __slots__ = ("log_row", "blank")
+
+    def __init__(self, log_row: np.ndarray, blank: float):
+        self.log_row, self.blank = log_row, blank
+
+
+def _log_frame(row: np.ndarray) -> _Frame:
+    """The frame of one checked emission row."""
+    with np.errstate(divide="ignore"):
+        log_row = np.log(row)
+    blank = float(log_row[-1])
+    # Column m stands for the empty prefix's missing final character: -inf,
+    # so the extension grid needs no mask.
+    log_row[-1] = NEG_INF
+    return _Frame(log_row, blank)
+
+
+def _log_frames(rows: np.ndarray) -> list[_Frame]:
+    """The frames of ``rows``, a 2-D block of checked emission rows, with
+    one ``np.log`` over the block: it gives each row's own log bit for bit."""
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(rows)
+    blanks = log_rows[:, -1].tolist()
+    log_rows[:, -1] = NEG_INF
+    return list(map(_Frame, log_rows, blanks))
+
+
 def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -> Beam:
-    """Advance the beam by one emission row and prune back to the width."""
+    """Advance the beam by one emission row and prune back to the width.
+
+    The row must have one entry per symbol and the blank, be finite, lie in
+    [0, 1] and sum to 1.  A frame that the package's readers made from a row
+    they checked (:func:`_log_frame`, :func:`_log_frames`) is taken as it
+    is."""
     alphabet = beam.alphabet
     symbols = alphabet.symbols
     lm = lm if lm is not None else _uniform_lm(symbols)
-    row = np.asarray(frame, dtype=np.float64)
-    if row.shape != (alphabet.size,):
-        raise ValidationError(
-            f"emission row has shape {row.shape}, expected ({alphabet.size},)"
-        )
-    check_rows(row)
+    if type(frame) is not _Frame:
+        row = np.asarray(frame, dtype=np.float64)
+        if row.shape != (alphabet.size,):
+            raise ValidationError(
+                f"emission row has shape {row.shape}, expected ({alphabet.size},)"
+            )
+        check_rows(row)
+        frame = _log_frame(row)
     n, m = len(beam), len(symbols)
     if not n:
         raise ValidationError(_COLLAPSED)
-    with np.errstate(divide="ignore"):
-        char_lp = np.log(row)
-    blank_lp = float(char_lp[m])
-    # Column m stands for the empty prefix's missing final character: -inf,
-    # so the extension grid needs no mask.
-    char_lp[m] = NEG_INF
+    char_lp, blank_lp = frame.log_row, frame.blank
     pb, pnb, total, last, length = beam._pb, beam._pnb, beam._total, beam._last, beam._length
 
     # LM rows in alphabet order, end of sentence in column m

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .beam import BeamConfig, beam_decode_rows
+from .beam import BeamConfig, _log_frame, _log_frames, beam_decode_rows
 from .ctc import Alphabet, enumerate_transcript_probabilities, greedy_decode
 from .errors import CapacityError, ParseError, ValidationError
 from .formats import opened
@@ -24,7 +24,7 @@ from .metrics import confusion_matrix, corpus_error_rates
 from .s2s import S2SConfig, load_table_scorer, s2s_decode
 from .simulate import (
     SimConfig,
-    emission_rows,
+    _emission_blocks,
     load_emissions,
     parse_emission_row,
     parse_emissions_header,
@@ -71,11 +71,13 @@ def _cmd_decode(args, parser) -> int:
         return EXIT_OK
     lm = _load_lm(args, parser)
     config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
-    # one row at a time, so memory is bounded by W, not by the file length
+    # a checked block of rows at a time, logged at once and stepped row by
+    # row, so memory is bounded by W plus one block, not by the file length
     with opened(args.emissions, "r") as fh:
-        alphabet, frames, rows = emission_rows(fh)
+        alphabet, frames, blocks = _emission_blocks(fh)
         log.info("decoding %d frames over %d symbols", frames, alphabet.size)
-        text, score = beam_decode_rows(alphabet, rows, config, lm)
+        logged = (frame for block in blocks for frame in _log_frames(block))
+        text, score = beam_decode_rows(alphabet, logged, config, lm)
     print(f"{text}\t{score:.6f}")
     return EXIT_OK
 
@@ -104,8 +106,7 @@ def _stream_records(args, parser, stdin, stdout) -> int:
                              line=lineno)
         if rows_read <= args.start_frame:
             continue
-        row = parse_emission_row(line, alphabet.size, lineno)
-        out = decoder.push(row)
+        out = decoder.push(_log_frame(parse_emission_row(line, alphabet.size, lineno)))
         record = {
             "frame": args.start_frame + out.frame_index,
             "committed": out.committed,

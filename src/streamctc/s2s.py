@@ -36,6 +36,7 @@ stop rests on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class S2SConfig:
             raise ValidationError("beam width must be >= 1")
         if self.max_length < 1:
             raise ValidationError("max_length must be >= 1")
+        if not (isfinite(self.alpha) and isfinite(self.beta)):
+            raise ValidationError("alpha and beta must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValidationError("alpha and beta must be >= 0")
 

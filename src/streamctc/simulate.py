@@ -30,6 +30,8 @@ CTCEM_MAGIC = "CTCEM v1"
 #: blank column; purely presentational (the parser only strips it).
 BLANK_MARKER = "-"
 
+_BLOCK = 64  # rows parsed and checked together
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -144,32 +146,69 @@ def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.nd
     return row
 
 
-def emission_rows(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
-    """Parse the header of an open CTCEM stream and return its alphabet, its
-    declared frame count and an iterator that parses the rows one at a time.
-    Once the rows run out, the iterator raises ParseError unless it yielded
-    as many as the header declares."""
-    alphabet, frames = parse_emissions_header(first_line(fh, "emission"))
+def _checked_block(lines: list[str], size: int) -> np.ndarray | None:
+    """The rows of ``lines`` as one checked block, or None if any of them
+    has the wrong field count, a field that is no float or a bad value."""
+    if any(line.count(" ") != size - 1 for line in lines):
+        return None
+    try:
+        block = np.array(" ".join(lines).split(" "), dtype=np.float64)
+        block = block.reshape(len(lines), size)
+        check_rows(block)
+    except (ValueError, ValidationError):
+        return None
+    return block
 
-    def rows() -> Iterator[np.ndarray]:
-        count = 0
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            yield parse_emission_row(raw, alphabet.size, lineno)
-            count += 1
+
+def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
+    """Parse the header of an open CTCEM stream and return its alphabet, its
+    declared frame count and an iterator over its rows in checked 2-D blocks.
+
+    Rows are parsed and checked :data:`_BLOCK` at a time.  A block that
+    fails is parsed again row by row with :func:`parse_emission_row`, each
+    row before the bad one a block of its own, and so are the rows read
+    before a line that does not decode.  So the consumer takes every row
+    before a fault before the error, as it would take them one at a time.
+    Once the rows run out, the iterator raises ParseError unless it gave as
+    many as the header declares."""
+    alphabet, frames = parse_emissions_header(first_line(fh, "emission"))
+    size = alphabet.size
+
+    def checked(numbered: list[tuple[int, str]]) -> Iterator[np.ndarray]:
+        block = _checked_block([line for _, line in numbered], size)
+        if block is not None:
+            yield block
+            return
+        for lineno, line in numbered:
+            yield parse_emission_row(line, size, lineno)[None]
+
+    def blocks() -> Iterator[np.ndarray]:
+        count, numbered = 0, []
+        try:
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.rstrip("\n")
+                if line:
+                    numbered.append((lineno, line))
+                if len(numbered) == _BLOCK:
+                    yield from checked(numbered)
+                    count, numbered = count + _BLOCK, []
+        except UnicodeDecodeError:  # read ahead: the rows before it come first
+            yield from checked(numbered)
+            raise
+        if numbered:
+            yield from checked(numbered)
+        count += len(numbered)
         if count != frames:
             raise ParseError(
                 f"header declares {frames} frames but the file holds {count} rows"
             )
 
-    return alphabet, frames, rows()
+    return alphabet, frames, blocks()
 
 
 def load_emissions(source) -> EmissionMatrix:
     with opened(source, "r") as fh:
-        alphabet, _, rows = emission_rows(fh)
-        rows = list(rows)
-    data = np.array(rows) if rows else np.zeros((0, alphabet.size))
+        alphabet, _, blocks = _emission_blocks(fh)
+        blocks = list(blocks)
+    data = np.concatenate(blocks) if blocks else np.zeros((0, alphabet.size))
     return EmissionMatrix(alphabet, data)

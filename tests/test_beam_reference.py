@@ -106,10 +106,18 @@ def slots(beam):
     return held, [v.tobytes() if isinstance(v, np.ndarray) else None for v in held]
 
 
+def frame_of(row):
+    """The checked frame that the package's readers make of a checked row,
+    here as the file reader does, from a block."""
+    frame, = beam_module._log_frames(np.asarray(row, dtype=np.float64)[None])
+    return frame
+
+
 def run_both(alphabet, rows, config, lm, beam=None):
     """Step both implementations from the same beam (``beam``, or the initial
-    one) on every row and compare; returns the beams before each step.  A
-    collapse must happen in both."""
+    one) on every row and compare; returns the beams before each step.  The
+    step also takes each row as a checked frame, to the same beam bit for
+    bit.  A collapse must happen in both, by either route."""
     beam = beam_init(alphabet, config, lm) if beam is None else beam
     seen = []
     for row in rows:
@@ -117,12 +125,14 @@ def run_both(alphabet, rows, config, lm, beam=None):
         try:
             want = reference_beam_step(beam, row, config, lm)
         except ValidationError as exc:
-            with pytest.raises(ValidationError, match="collapsed"):
-                beam_step(beam, row, config, lm)
+            for frame in (row, frame_of(row)):
+                with pytest.raises(ValidationError, match="collapsed"):
+                    beam_step(beam, frame, config, lm)
             assert "collapsed" in str(exc)
             break
         got = beam_step(beam, row, config, lm)
         assert snapshot(got) == snapshot(want)
+        assert snapshot(beam_step(beam, frame_of(row), config, lm)) == snapshot(got)
         assert got.best == got.hypotheses[0]  # row 0 is the best
         assert_parents(got)
         beam = got
@@ -437,6 +447,50 @@ class TestLmRowCheck:
             dec.push(self.ROW)
         assert str(exc.value) == self.MESSAGE
         assert dec.frames_seen == 0
+
+
+class TestEveryEntryChecksRows:
+    """Only the package's readers make checked frames: each public entry
+    point still checks every probability row it is handed, with the same
+    message as before, and a stream that rejects a row counts no frame."""
+
+    AB = Alphabet("ab")
+    GOOD = [0.5, 0.25, 0.25]
+    ENTRIES = "emission row entries must be finite and lie in [0, 1]"
+    BAD = {
+        "nan": ([0.5, np.nan, 0.5], ENTRIES, ENTRIES),
+        "inf": ([0.5, np.inf, 0.5], ENTRIES, ENTRIES),
+        "negative": ([0.5, -0.25, 0.75], ENTRIES, ENTRIES),
+        "above-one": ([1.5, 0.0, 0.0], ENTRIES, ENTRIES),
+        "sum": ([0.5, 0.25, 0.125], "emission row sums to 0.875, expected 1",
+                "emission row 1 sums to 0.875, expected 1"),
+        "shape": ([0.5, 0.5], "emission row has shape (2,), expected (3,)",
+                  "emissions must have shape (T, 3), got (2,)"),
+    }
+
+    @pytest.mark.parametrize("kind", BAD)
+    def test_each_route_rejects_the_row(self, kind):
+        row, message, matrix_message = self.BAD[kind]
+        config = BeamConfig(width=4, alpha=0.0)
+        routes = {
+            "beam_step": lambda: beam_step(beam_init(self.AB, config), row, config),
+            "beam_decode_rows": lambda: beam_module.beam_decode_rows(
+                self.AB, [self.GOOD, row, self.GOOD], config),
+        }
+        for name, call in routes.items():
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message, name
+        dec = StreamingDecoder(self.AB, config, lag=1)
+        first = dec.push(self.GOOD)
+        with pytest.raises(ValidationError) as exc:
+            dec.push(row)
+        assert str(exc.value) == message
+        assert dec.frames_seen == 1
+        assert dec.push(self.GOOD).frame_index == first.frame_index + 1
+        with pytest.raises(ValidationError) as exc:
+            EmissionMatrix(self.AB, [self.GOOD, row] if kind != "shape" else row)
+        assert str(exc.value) == matrix_message
 
 
 class TestRankedCut:

@@ -419,6 +419,36 @@ class TestS2SDecode:
         assert exc.value.code == 2
 
 
+class TestNonFiniteWeights:
+    """``--alpha`` and ``--beta`` of nan or inf are validation errors, not a
+    numpy traceback (nan) or an empty transcript (inf)."""
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_decode(self, capsys, demo_em, demo_lm, flag, value):
+        code, out, err = run(capsys, ["decode", str(demo_em), "--lm", str(demo_lm),
+                                      f"{flag}={value}"])
+        assert (code, out, err) == (4, "", "streamctc: alpha and beta must be finite\n")
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_stream(self, capsys, demo_em, demo_lm, monkeypatch, flag, value):
+        code, out, err = run(capsys, ["stream", "--lm", str(demo_lm), f"{flag}={value}"],
+                             demo_em.read_text(encoding="utf-8"), monkeypatch)
+        assert (code, err) == (4, "streamctc: alpha and beta must be finite\n")
+        assert out == json.dumps({"error": "alpha and beta must be finite"}) + "\n"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_s2s_decode(self, capsys, tmp_path, demo_lm, flag, value):
+        path = tmp_path / "scorer.s2sm"
+        path.write_text("S2SM v1 hi \n\th\t1.0\nh\ti\t1.0\nhi\t</s>\t1.0\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["s2s-decode", str(path), "--lm", str(demo_lm),
+                                      f"{flag}={value}"])
+        assert (code, out, err) == (4, "", "streamctc: alpha and beta must be finite\n")
+
+
 class TestPipeComposition:
     def test_simulate_stream_decode_agree(self, capsys, monkeypatch, tmp_path):
         rng = random.Random(77)

@@ -18,13 +18,19 @@ def test_49_jobs_of_four_kinds():
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
     names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 62
+    assert len(names) == len(set(names)) == 66
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
     row = b"0.25 0.25 0.5\n"
     header = b"CTCEM v1 4 3 ab-\n"
     (tmp_path / "utt000.em").write_bytes(header + row * 4)
+    rows97 = [f"0.25 0.25 0.{i:02d}5\n".encode() for i in range(97)]  # line 70: 0.685
+    (tmp_path / "utt001.em").write_bytes(b"CTCEM v1 97 3 ab-\n" + b"".join(rows97))
+
+    def line70(*lines):
+        return b"CTCEM v1 97 3 ab-\n" + b"".join([*rows97[:68], *lines, *rows97[69:]])
+
     (tmp_path / "lm.nglm").write_bytes(b"NGLM v1 2 1.0 ab\n\ta\t1\n")
     (tmp_path / "t000.s2sm").write_bytes(b"S2SM v1 ab\n\ta\t0.5\n\tb\t0.5\n")
     faults = cli_outputs.fault_inputs(tmp_path)
@@ -40,6 +46,10 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
         "empty-field.em": header + row * 2 + b"0.25  0.5\n" + row,
         "underscore-field.em": header + row * 2 + b"0_1 0.25 0.5\n" + row,
         "reversed.nglm": b"NGLM v1 2 1.0 ba\n\ta\t1\n",
+        "line70-bad-float.em": line70(b"x 0.25 0.685\n"),
+        "line70-bad-sum.em": line70(b"0.5 0.0 0.0\n"),
+        "line70-not-utf8.em": line70(b"\xff 0.25 0.685\n"),
+        "line70-blank.em": line70(b"\n", b"\n", b"0.25 0.25 0.685\n"),
     }
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}

@@ -266,6 +266,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="beta must be >= 0"):
             BeamConfig(beta=-1)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weights(self, field, value):
+        with pytest.raises(ValidationError) as exc:
+            BeamConfig(**{field: value})
+        assert str(exc.value) == "alpha and beta must be finite"
+
     def test_log_add(self):
         assert log_add(NEG_INF, NEG_INF) == NEG_INF
         assert log_add(0.0, NEG_INF) == 0.0

@@ -85,6 +85,10 @@ class TestConfig:
         ({"max_length": 0}, "max_length must be >= 1"),
         ({"alpha": -0.1}, "alpha and beta must be >= 0"),
         ({"beta": -0.1}, "alpha and beta must be >= 0"),
+        ({"alpha": float("nan")}, "alpha and beta must be finite"),
+        ({"alpha": float("inf")}, "alpha and beta must be finite"),
+        ({"beta": float("nan")}, "alpha and beta must be finite"),
+        ({"beta": float("-inf")}, "alpha and beta must be finite"),
     ])
     def test_rejects_out_of_range_fields(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
