@@ -16,12 +16,15 @@ header lists the alphabet reversed, so both searches gather the LM's
 columns into their own order; then 4 ``decode`` jobs on the 97-row
 ``utt001.em`` whose line 70, inside the second block of rows that
 ``decode`` parses and checks together, holds a bad float, a row summing
-to 0.5 or a byte that is not UTF-8, or is the first of two blank lines.
-The script exits 1 naming the first input file, or the first job whose
-stdout, stderr or exit code differs, and 0 when all are byte-identical.
-Every job runs in a new process with its own
-random hash seed, so ``--parent HEAD`` checks that the outputs do not
-depend on it.  The change is this checkout's working tree; the parent is
+to 0.5 or a byte that is not UTF-8, or is the first of two blank lines;
+then 3 ``stream`` jobs on the first utterance: with a blank line between
+every two rows, with ``--start-frame 5``, and with its last row coming
+again after two blank lines, so the error names a line that counts them.
+That makes 69 jobs.  The script exits 1 naming the first input file, or
+the first job whose stdout, stderr or exit code differs, and 0 when all
+are byte-identical.  Every job runs in a new process with its own random
+hash seed, so ``--parent HEAD`` checks that the outputs do not depend on
+it.  The change is this checkout's working tree; the parent is
 the committed files of ``--parent``, unpacked into a temporary directory
 (``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
 """
@@ -69,7 +72,8 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
     """The jobs on the inputs of :func:`fault_inputs`: one per error route,
     then three on fields that ``float()`` reads as NaN, rejects as empty,
     or reads although they hold an underscore, then two with the reversed
-    LM, then four with line 70 of a 97-row utterance spoiled."""
+    LM, then four with line 70 of a 97-row utterance spoiled, then three
+    streams whose rows are numbered past blank lines or skipped."""
     return [
         ("decode bad-float", ["decode", "bad-float.em", *LM], None),
         ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
@@ -86,6 +90,10 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
         ("s2s-decode reversed-lm", ["s2s-decode", "t000.s2sm", "--lm", "reversed.nglm"], None),
         *((f"decode line70-{fault}", ["decode", f"line70-{fault}.em", *LM], None)
           for fault in ("bad-float", "bad-sum", "not-utf8", "blank")),
+        ("stream blank-lines", ["stream", "--lag", "22", *LM], "blank-lines.em"),
+        ("stream start-frame", ["stream", "--lag", "22", "--start-frame", "5", *LM],
+         "utt000.em"),
+        ("stream blank-extra-row", ["stream", "--lag", "22", *LM], "blank-extra-row.em"),
     ]
 
 
@@ -97,7 +105,8 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
     its header lists the alphabet reversed over the same body; the first
     entry of ``t000.s2sm`` is 1.5; line 70 of ``utt001.em`` starts with a
     word or a byte that is not UTF-8, or sums to 0.5, or two blank lines
-    come before it."""
+    come before it; ``utt000.em`` has a blank line between every two rows,
+    or its last row comes again after two blank lines."""
     header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
     rest = rows[2][rows[2].index(b" "):]
     first, _, *others = rows[2].split(b" ")
@@ -133,6 +142,8 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         "line70-bad-sum.em": line70(b" ".join([b"0.5"] + [b"0.0"] * row70.count(b" ")) + b"\n"),
         "line70-not-utf8.em": line70(b"\xff" + row70[row70.index(b" "):]),
         "line70-blank.em": line70(b"\n", b"\n", row70),
+        "blank-lines.em": header + b"\n".join(rows),
+        "blank-extra-row.em": b"".join([header, *rows, b"\n", b"\n", rows[-1]]),
     }
 
 

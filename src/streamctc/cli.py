@@ -25,6 +25,7 @@ from .s2s import S2SConfig, load_table_scorer, s2s_decode
 from .simulate import (
     SimConfig,
     _emission_blocks,
+    _row_lines,
     load_emissions,
     parse_emission_row,
     parse_emissions_header,
@@ -54,23 +55,31 @@ def _add_fusion_flags(p: argparse.ArgumentParser, width: int, alpha: float, beta
     p.add_argument("--beta", type=float, default=beta, help="length-penalty exponent")
 
 
-def _load_lm(args, parser: argparse.ArgumentParser):
-    """LM is mandatory whenever fusion is active (alpha > 0)."""
-    if args.lm:
-        lm = load_ngram(args.lm)
-        log.debug("loaded LM: order=%d k=%r |symbols|=%d", lm.order, lm.k, len(lm.symbols))
-        return lm
-    if args.alpha > 0:
+def _search(args, parser: argparse.ArgumentParser, config_type=BeamConfig, **fields):
+    """The config and the LM of a search command, from the shared flags.
+    The usage is checked first (fusion, alpha > 0, needs an LM), then the
+    config, and only then is the LM read."""
+    if args.alpha > 0 and not args.lm:
         parser.error("--alpha > 0 requires --lm (or pass --alpha 0)")
-    return None
+    config = config_type(width=args.beam_width, alpha=args.alpha, beta=args.beta, **fields)
+    if not args.lm:
+        return config, None
+    lm = load_ngram(args.lm)
+    log.debug("loaded LM: order=%d k=%r |symbols|=%d", lm.order, lm.k, len(lm.symbols))
+    return config, lm
+
+
+def _write_record(record: dict) -> None:
+    """Write a stream record to standard output as one JSON line, flushed so
+    the reader has it at once."""
+    print(json.dumps(record), flush=True)
 
 
 def _cmd_decode(args, parser) -> int:
     if args.greedy:
         print(greedy_decode(load_emissions(args.emissions)))
         return EXIT_OK
-    lm = _load_lm(args, parser)
-    config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
+    config, lm = _search(args, parser)
     # a checked block of rows at a time, logged at once and stepped row by
     # row, so memory is bounded by W plus one block, not by the file length
     with opened(args.emissions, "r") as fh:
@@ -82,50 +91,31 @@ def _cmd_decode(args, parser) -> int:
     return EXIT_OK
 
 
-def _stream_records(args, parser, stdin, stdout) -> int:
+def _stream_records(args, parser, stdin) -> int:
+    if args.start_frame < 0:
+        raise ValidationError("start frame must be >= 0")
+    config, lm = _search(args, parser)
     header = stdin.readline()
     if not header:
         raise ParseError("missing header line on standard input", line=1)
     alphabet, frames = parse_emissions_header(header)
-    lm = _load_lm(args, parser)
-    config = BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
     decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm)
-    if args.start_frame < 0:
-        raise ValidationError("start frame must be >= 0")
     # rows skipped by --start-frame count as read; a stream may end early
-    rows_read = 0
-    lineno = 1
-    for raw in iter(stdin.readline, ""):
-        lineno += 1
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        rows_read += 1
+    for rows_read, (lineno, line) in enumerate(_row_lines(stdin), start=1):
         if rows_read > frames:
             raise ParseError(f"header declares {frames} frames but row {rows_read} follows",
                              line=lineno)
         if rows_read <= args.start_frame:
             continue
         out = decoder.push(_log_frame(parse_emission_row(line, alphabet.size, lineno)))
-        record = {
-            "frame": args.start_frame + out.frame_index,
-            "committed": out.committed,
-            "hypothesis": out.hypothesis,
-            "completion": out.completion,
-            "score": round(out.score, 6),
-        }
-        print(json.dumps(record), file=stdout, flush=True)
+        _write_record({"frame": args.start_frame + out.frame_index, "committed": out.committed,
+                       "hypothesis": out.hypothesis, "completion": out.completion,
+                       "score": round(out.score, 6)})
     text = decoder.flush()
     _, score = decoder.best_committed()
-    final = {
-        "frame": args.start_frame + decoder.frames_seen,
-        "committed": text,
-        "hypothesis": text,
-        "completion": "",
-        "score": round(score, 6),
-        "final": True,
-    }
-    print(json.dumps(final), file=stdout, flush=True)
+    _write_record({"frame": args.start_frame + decoder.frames_seen, "committed": text,
+                   "hypothesis": text, "completion": "", "score": round(score, 6),
+                   "final": True})
     return EXIT_OK
 
 
@@ -133,9 +123,11 @@ def _cmd_stream(args, parser) -> int:
     if hasattr(sys.stdin, "reconfigure"):  # decoded as under a UTF-8 locale, under every one
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
-        return _stream_records(args, parser, sys.stdin, sys.stdout)
-    except (ParseError, ValidationError, CapacityError) as exc:
-        print(json.dumps({"error": str(exc)}), flush=True)
+        return _stream_records(args, parser, sys.stdin)
+    except BrokenPipeError:  # no reader is left for a record
+        raise
+    except (ParseError, ValidationError, CapacityError, OSError) as exc:
+        _write_record({"error": str(exc)})
         raise
 
 
@@ -180,6 +172,8 @@ def _cmd_metrics(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
+    if args.top < 1:
+        raise ValidationError("top must be >= 1")
     em = load_emissions(args.emissions)
     dist = enumerate_transcript_probabilities(em)
     ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -223,11 +217,8 @@ def _cmd_rf(args, parser) -> int:
 
 
 def _cmd_s2s_decode(args, parser) -> int:
-    lm = _load_lm(args, parser)
-    scorer = load_table_scorer(args.scorer)
-    config = S2SConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta,
-                       max_length=args.max_length)
-    text, score = s2s_decode(scorer, config, lm)
+    config, lm = _search(args, parser, S2SConfig, max_length=args.max_length)
+    text, score = s2s_decode(load_table_scorer(args.scorer), config, lm)
     print(f"{text}\t{score:.6f}")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 import sys
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -421,10 +421,10 @@ def load_ngram(source) -> NgramLm:
         check_header_alphabet(symbols)
         lines = fh.readlines()
     entries = _ngram_entries(lines, symbols)
+    if entries is None:
+        _scan_ngram(lines, symbols)
+    del lines  # not needed to build the table
     try:
-        if entries is None:
-            return NgramLm(symbols, order, k, _scan_ngram(lines, symbols))
-        del lines  # not needed to build the table
         return NgramLm._from_columns(symbols, order, k, *entries)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
@@ -434,7 +434,7 @@ def _ngram_entries(lines: list[str], symbols: str):
     """The arguments of :meth:`NgramLm._from_columns` after ``symbols``,
     read by column, if every line is well formed, the empty context is
     present and every count is an int above 0; None sends the caller to
-    :func:`_scan_ngram` to find the first bad line."""
+    :func:`_scan_ngram`, which raises the fault."""
     columns = entry_columns(lines, symbols)
     if columns is None or "" not in columns[0]:
         return None
@@ -446,11 +446,12 @@ def _ngram_entries(lines: list[str], symbols: str):
     return (contexts, rows, cols, counts) if min(counts) > 0 else None
 
 
-def _scan_ngram(lines: list[str], symbols: str) -> dict[tuple[str, ...], dict[str, int]]:
-    """The body checked line by line, raising ParseError at the first bad
-    line."""
+def _scan_ngram(lines: list[str], symbols: str) -> NoReturn:
+    """Raise the ParseError of a body that :func:`_ngram_entries` rejects:
+    the first bad line, checked line by line, or else the missing empty
+    context, the one fault that is in no line."""
     allowed = set(symbols)
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, (ctx_str, tok, count_str) in scan_entries(lines):
         if any(c not in allowed for c in ctx_str):
             raise ParseError(f"context {ctx_str!r} uses characters outside the alphabet",
@@ -463,10 +464,7 @@ def _scan_ngram(lines: list[str], symbols: str) -> dict[tuple[str, ...], dict[st
             raise ParseError(f"bad count {count_str!r}", line=lineno) from exc
         if count <= 0:
             raise ParseError(f"count must be positive, got {count}", line=lineno)
-        dist = counts.setdefault(tuple(ctx_str), {})
-        if tok in dist:
+        if (ctx_str, tok) in seen:
             raise ParseError(f"duplicate entry for {ctx_str!r} -> {tok!r}", line=lineno)
-        dist[tok] = count
-    if () not in counts:
-        raise ParseError("model has no empty-context counts")
-    return counts
+        seen.add((ctx_str, tok))
+    raise ParseError("model has no empty-context counts")

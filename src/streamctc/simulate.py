@@ -160,6 +160,15 @@ def _checked_block(lines: list[str], size: int) -> np.ndarray | None:
     return block
 
 
+def _row_lines(fh) -> Iterator[tuple[int, str]]:
+    """(line number from 2, text) of each row line after the CTCEM header,
+    read with ``readline`` alone; blank lines are skipped but counted."""
+    for lineno, raw in enumerate(iter(fh.readline, ""), start=2):
+        line = raw.rstrip("\n")
+        if line:
+            yield lineno, line
+
+
 def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
     """Parse the header of an open CTCEM stream and return its alphabet, its
     declared frame count and an iterator over its rows in checked 2-D blocks.
@@ -185,10 +194,8 @@ def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
     def blocks() -> Iterator[np.ndarray]:
         count, numbered = 0, []
         try:
-            for lineno, raw in enumerate(fh, start=2):
-                line = raw.rstrip("\n")
-                if line:
-                    numbered.append((lineno, line))
+            for row in _row_lines(fh):
+                numbered.append(row)
                 if len(numbered) == _BLOCK:
                     yield from checked(numbered)
                     count, numbered = count + _BLOCK, []

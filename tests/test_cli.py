@@ -264,6 +264,26 @@ class TestStream:
         assert records[-1] == {"error": "line 4: header declares 2 frames but row 3 follows"}
         assert "line 4" in err
 
+    def test_blank_lines_are_skipped_but_counted(self, capsys, monkeypatch):
+        row = "0.2 0.3 0.5\n"
+        argv = ["stream", "--lag", "0", "--alpha", "0"]
+        _, plain, _ = run(capsys, argv, "CTCEM v1 2 3 ab-\n" + row * 2, monkeypatch)
+        code, out, _ = run(capsys, argv, "CTCEM v1 2 3 ab-\n\n" + row + "\n\n" + row + "\n",
+                           monkeypatch)
+        assert (code, out) == (0, plain)
+        # a fault after blank lines names the line it is on
+        code, out, err = run(capsys, argv, "CTCEM v1 2 3 ab-\n\n" + row + "\n\n0.2 x 0.5\n",
+                             monkeypatch)
+        assert code == 3
+        message = "line 6: bad float: could not convert string to float: 'x'"
+        assert out.splitlines()[1:] == [json.dumps({"error": message})]
+        code, out, err = run(capsys, argv, "CTCEM v1 2 3 ab-\n" + row * 2 + "\n\n" + row,
+                             monkeypatch)
+        assert code == 3
+        message = "line 6: header declares 2 frames but row 3 follows"
+        assert out.splitlines()[2:] == [json.dumps({"error": message})]
+        assert err == f"streamctc: parse error: {message}\n"
+
     def test_fewer_rows_than_declared_end_the_stream(self, capsys, monkeypatch):
         # a live stream may stop early: its final record is still written
         body = "CTCEM v1 5 3 ab-\n" + "0.2 0.3 0.5\n" * 2
@@ -321,13 +341,22 @@ class TestMetrics:
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text(
             "home to an animal\thome you and animal\n"
-            "\tstray hypothesis\n",
+            "\n"
+            "\tstray hypothesis\n"
+            "\n",
             encoding="utf-8",
         )
         code, out, _ = run(capsys, ["metrics", str(pairs)])
         assert code == 0
         assert "WER 0.5000" in out
-        assert "skipped 1" in out
+        assert "skipped 1" in out  # a blank line is no pair
+
+    def test_every_reference_empty_is_validation_exit(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("\tstray\n\n \talso stray\n", encoding="utf-8")
+        code, out, err = run(capsys, ["metrics", str(pairs)])
+        assert (code, out) == (4, "")
+        assert err == "streamctc: no scorable pairs (every reference was empty)\n"
 
     def test_confusion_flag(self, capsys, tmp_path):
         pairs = tmp_path / "pairs.tsv"
@@ -338,9 +367,11 @@ class TestMetrics:
 
     def test_malformed_line(self, capsys, tmp_path):
         pairs = tmp_path / "pairs.tsv"
-        pairs.write_text("no tab here\n", encoding="utf-8")
+        pairs.write_text("\nno tab here\n", encoding="utf-8")
         code, _, err = run(capsys, ["metrics", str(pairs)])
         assert code == 3
+        assert err == ("streamctc: parse error: line 2: "
+                       "expected 'ref<TAB>hyp', got 1 fields\n")
 
 
 class TestOracle:
@@ -352,6 +383,12 @@ class TestOracle:
         lines = out.splitlines()
         assert lines[0] == "0.75\ta"
         assert lines[1] == "0.25\t"
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_validation_exit(self, capsys, tmp_path, top):
+        # checked before the file is read: this one does not exist
+        code, out, err = run(capsys, ["oracle", str(tmp_path / "none.em"), "--top", top])
+        assert (code, out, err) == (4, "", "streamctc: top must be >= 1\n")
 
     def test_capacity_guard(self, capsys, tmp_path):
         path = tmp_path / "big.em"
@@ -390,6 +427,13 @@ class TestSimulateAndRf:
     def test_rf_even_width_fails(self, capsys):
         code, _, err = run(capsys, ["rf", "4"])
         assert code == 4
+
+    @pytest.mark.parametrize("token", ["five", "5xL", "x3"])
+    def test_rf_bad_width_token_is_usage_error(self, capsys, token):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rf", "5", token])
+        assert exc.value.code == 2
+        assert f"bad width token {token.lower()!r}" in capsys.readouterr().err
 
 
 class TestS2SDecode:
@@ -447,6 +491,60 @@ class TestNonFiniteWeights:
         code, out, err = run(capsys, ["s2s-decode", str(path), "--lm", str(demo_lm),
                                       f"{flag}={value}"])
         assert (code, out, err) == (4, "", "streamctc: alpha and beta must be finite\n")
+
+
+class TestOptionsBeforeFiles:
+    """A search command reports a bad --alpha, --beta or --beam-width before
+    it reads any file or stdin, so a missing or malformed LM does not hide
+    it; the usage error of fusion without an LM comes before both."""
+
+    @pytest.fixture(params=["missing-lm", "malformed-lm"])
+    def lm(self, request, tmp_path):
+        path = tmp_path / "lm.nglm"
+        if request.param == "malformed-lm":
+            path.write_text("NGLM v1 2 1.0 hi \n\th\tx\n", encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def call(capsys, monkeypatch, tmp_path, command, *options):
+        """(exit code, stdout, stderr) of ``command``, its input file missing
+        and its stdin unread, or SystemExit's code for a usage error."""
+        stdin = io.StringIO("not a CTCEM header\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = [command, *([] if command == "stream" else [str(tmp_path / "none")]), *options]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert stdin.tell() == 0
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command", ["decode", "stream", "s2s-decode"])
+    @pytest.mark.parametrize("option, message", [
+        ("--alpha=nan", "alpha and beta must be finite"),
+        ("--beta=inf", "alpha and beta must be finite"),
+        ("--beam-width=0", "beam width must be >= 1"),
+    ], ids=["alpha", "beta", "beam-width"])
+    def test_bad_option_before_the_lm(self, capsys, monkeypatch, tmp_path, lm, command,
+                                      option, message):
+        code, out, err = self.call(capsys, monkeypatch, tmp_path, command, "--lm", lm, option)
+        record = json.dumps({"error": message}) + "\n" if command == "stream" else ""
+        assert (code, out, err) == (4, record, f"streamctc: {message}\n")
+
+    @pytest.mark.parametrize("command", ["decode", "stream", "s2s-decode"])
+    def test_usage_error_comes_first(self, capsys, monkeypatch, tmp_path, command):
+        code, out, err = self.call(capsys, monkeypatch, tmp_path, command,
+                                   "--alpha=0.5", "--beta=nan", "--beam-width=0")
+        assert (code, out) == (2, "")
+        assert "--alpha > 0 requires --lm" in err
+
+    def test_start_frame_before_the_lm(self, capsys, monkeypatch, tmp_path, lm):
+        code, out, err = self.call(capsys, monkeypatch, tmp_path, "stream", "--lm", lm,
+                                   "--start-frame=-1")
+        message = "start frame must be >= 0"
+        assert (code, out, err) == (4, json.dumps({"error": message}) + "\n",
+                                    f"streamctc: {message}\n")
 
 
 class TestPipeComposition:
@@ -563,6 +661,19 @@ class TestFileFaults:
         code, out, err = run(capsys, [arg.format(**files) for arg in argv])
         assert (code, out) == (4, "")
         assert err.startswith("streamctc: [Errno 21] Is a directory: ")
+
+    @pytest.mark.parametrize("lm, message", [
+        ("{dir}/none.nglm", "[Errno 2] No such file or directory: "),
+        ("{dir}", "[Errno 21] Is a directory: "),
+    ], ids=["missing", "directory"])
+    def test_stream_lm_that_cannot_be_opened_writes_an_error_record(
+            self, capsys, monkeypatch, files, lm, message):
+        lm = lm.format(**files)
+        code, out, err = run(capsys, ["stream", "--lm", lm],
+                             files["em"].read_text(encoding="utf-8"), monkeypatch)
+        message += repr(lm)
+        assert (code, out, err) == (4, json.dumps({"error": message}) + "\n",
+                                    f"streamctc: {message}\n")
 
     def test_closed_pipe_exits_ok(self):
         src = Path(cli.__file__).resolve().parents[1]

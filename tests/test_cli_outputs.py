@@ -18,7 +18,7 @@ def test_49_jobs_of_four_kinds():
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
     names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 66
+    assert len(names) == len(set(names)) == 69
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
@@ -50,6 +50,8 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
         "line70-bad-sum.em": line70(b"0.5 0.0 0.0\n"),
         "line70-not-utf8.em": line70(b"\xff 0.25 0.685\n"),
         "line70-blank.em": line70(b"\n", b"\n", b"0.25 0.25 0.685\n"),
+        "blank-lines.em": header + (row + b"\n") * 3 + row,
+        "blank-extra-row.em": header + row * 4 + b"\n\n" + row,
     }
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}

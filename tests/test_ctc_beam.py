@@ -68,6 +68,14 @@ class TestBeamInit:
         b1 = beam_init(Alphabet("ab"), BeamConfig(), lm)
         b2 = beam_init(Alphabet("ab"), BeamConfig(), lm)
         assert b1 == b2
+        assert hash(b1) == hash(b2)
+        assert repr(b1) == repr(b2)
+        assert repr(b1).startswith("Beam(alphabet=")
+
+    def test_equality_with_another_type(self):
+        beam = beam_init(Alphabet("ab"), BeamConfig())
+        assert beam.__eq__(beam.hypotheses) is NotImplemented
+        assert beam != tuple(beam.hypotheses)
 
 
 class TestBeamStep:

@@ -139,6 +139,17 @@ class TestPathLogProbability:
         with pytest.raises(ValidationError):
             path_log_probability([0, 0], em)
 
+    @pytest.mark.parametrize("label, message", [
+        (0.0, "path labels must be integers, got 0.0"),
+        ("0", "path labels must be integers, got '0'"),
+        (2, "label index 2 out of range for alphabet"),
+        (-1, "label index -1 out of range for alphabet"),
+    ])
+    def test_bad_label(self, label, message):
+        em = EmissionMatrix(Alphabet("a"), [[0.5, 0.5]])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            path_log_probability([label], em)
+
 
 class TestExactTranscriptProbability:
     def test_uniform_two_frames(self):
@@ -161,6 +172,11 @@ class TestExactTranscriptProbability:
         em = EmissionMatrix(Alphabet("a"), [[0.5, 0.5]])
         with pytest.raises(ValidationError):
             exact_transcript_probability(em, "z")
+
+    def test_unknown_method(self):
+        em = EmissionMatrix(Alphabet("a"), [[0.5, 0.5]])
+        with pytest.raises(ValidationError, match="^unknown method 'x'$"):
+            exact_transcript_probability(em, "a", method="x")
 
     def test_enumeration_guard(self):
         ab = Alphabet("abcdefghi")  # size 10, 10**8 paths

@@ -54,6 +54,14 @@ class TestSimulate:
         a, blank = ab.index_of("a"), ab.blank_index
         assert list(peaks) == [a, blank, a]
 
+    def test_different_characters_get_no_separator(self):
+        ab = Alphabet("ab")
+        em = simulate("abba", ab, SimConfig(peak_prob=0.9, frames_per_char=1.0,
+                                            noise_seed=3, blank_fill=False))
+        peaks = np.argmax(em.probs, axis=1)
+        a, b, blank = ab.index_of("a"), ab.index_of("b"), ab.blank_index
+        assert list(peaks) == [a, b, blank, b, a]
+
     def test_deterministic_given_seed(self):
         ab = Alphabet("abc")
         config = SimConfig(peak_prob=0.9, frames_per_char=2.5, noise_seed=7)

@@ -216,12 +216,13 @@ def mutated(draw, texts, bad_values, kinds=KINDS):
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     if kind == "order_k":
-        # an NGLM order below 1 or a k outside (0, inf), each a fault of
-        # line 1, with a bad body line after it or none
+        # an NGLM order below 1 or a k outside (0, inf), or either one no
+        # number, each a fault of line 1, with a bad body line after it or none
         fields = header.split(" ", 4)
         at = draw(st.sampled_from([2, 3]))
         fields[at] = draw(st.sampled_from(
-            ["0", "-1", "-0"] if at == 2 else ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e400"]))
+            ["0", "-1", "-0", "x", "2.5", ""] if at == 2
+            else ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e400", "x", ""]))
         header = " ".join(fields)
         kind = draw(st.sampled_from(["fields", "value", "none"]))
     i = draw(st.integers(0, len(body) - 1)) if body else 0
