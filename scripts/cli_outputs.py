@@ -19,14 +19,20 @@ columns into their own order; then 4 ``decode`` jobs on the 97-row
 to 0.5 or a byte that is not UTF-8, or is the first of two blank lines;
 then 3 ``stream`` jobs on the first utterance: with a blank line between
 every two rows, with ``--start-frame 5``, and with its last row coming
-again after two blank lines, so the error names a line that counts them.
-That makes 69 jobs.  The script exits 1 naming the first input file, or
-the first job whose stdout, stderr or exit code differs, and 0 when all
-are byte-identical.  Every job runs in a new process with its own random
-hash seed, so ``--parent HEAD`` checks that the outputs do not depend on
-it.  The change is this checkout's working tree; the parent is
-the committed files of ``--parent``, unpacked into a temporary directory
-(``TMPDIR`` chooses where) by ``bench_pairs.unpack``.
+again after two blank lines, so the error names a line that counts them;
+then 5 jobs on bytes that are not UTF-8: a ``stream`` of the row that
+``decode not-utf8`` reads, a ``stream --alpha 0`` whose header alphabet
+holds one, a ``decode`` of a file with a bad float on line 3 and one on
+line 10, inside the first 8 KB, a ``decode`` with an LM whose line 3 holds
+a bad count and a later line one, and a ``decode`` of a row ending in a
+truncated sequence before its line end.  That makes 74 jobs.  The script
+exits 1 naming the first input file, or the first job whose stdout,
+stderr or exit code differs, and 0 when all are byte-identical.  Every job
+runs in a new process with its own random hash seed, so ``--parent HEAD``
+checks that the outputs do not depend on it.  The change is this
+checkout's working tree; the parent is the committed files of
+``--parent``, unpacked into a temporary directory (``TMPDIR`` chooses
+where) by ``bench_pairs.unpack``.
 """
 
 from __future__ import annotations
@@ -73,7 +79,11 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
     then three on fields that ``float()`` reads as NaN, rejects as empty,
     or reads although they hold an underscore, then two with the reversed
     LM, then four with line 70 of a 97-row utterance spoiled, then three
-    streams whose rows are numbered past blank lines or skipped."""
+    streams whose rows are numbered past blank lines or skipped, then five
+    with a byte that is not UTF-8: in a row read by ``stream``, in the
+    alphabet of a stream's header, on a line after an earlier fault in a
+    CTCEM file and in an LM, and as a truncated sequence before a line
+    end."""
     return [
         ("decode bad-float", ["decode", "bad-float.em", *LM], None),
         ("decode bad-sum", ["decode", "bad-sum.em", *LM], None),
@@ -94,6 +104,13 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
         ("stream start-frame", ["stream", "--lag", "22", "--start-frame", "5", *LM],
          "utt000.em"),
         ("stream blank-extra-row", ["stream", "--lag", "22", *LM], "blank-extra-row.em"),
+        ("stream not-utf8", ["stream", "--lag", "22", *LM], "not-utf8.em"),
+        ("stream header-not-utf8", ["stream", "--lag", "22", "--alpha", "0"],
+         "header-not-utf8.em"),
+        ("decode byte-after-fault", ["decode", "byte-after-fault.em", *LM], None),
+        ("decode lm-byte-after-fault", ["decode", "utt000.em", "--lm", "byte-after-fault.nglm"],
+         None),
+        ("decode truncated-utf8", ["decode", "truncated-utf8.em", *LM], None),
     ]
 
 
@@ -106,7 +123,12 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
     entry of ``t000.s2sm`` is 1.5; line 70 of ``utt001.em`` starts with a
     word or a byte that is not UTF-8, or sums to 0.5, or two blank lines
     come before it; ``utt000.em`` has a blank line between every two rows,
-    or its last row comes again after two blank lines."""
+    or its last row comes again after two blank lines, or the first
+    character of its header alphabet is a byte that is not UTF-8, or its
+    third row ends in the truncated sequence ``\\xc3``; line 3 of
+    ``utt001.em`` holds a bad float and line 10, in the same 8 KB, a byte
+    that is not UTF-8; line 3 of the LM holds a bad count and its last line
+    a byte that is not UTF-8."""
     header, *rows = (inputs / "utt000.em").read_bytes().splitlines(keepends=True)
     rest = rows[2][rows[2].index(b" "):]
     first, _, *others = rows[2].split(b" ")
@@ -116,6 +138,7 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
 
     header97, *rows97 = (inputs / "utt001.em").read_bytes().splitlines(keepends=True)
     row70 = rows97[68]  # line 70
+    rest3 = rows97[1][rows97[1].index(b" "):]  # line 3 less its first field
 
     def line70(*lines: bytes) -> bytes:
         return b"".join([header97, *rows97[:68], *lines, *rows97[69:]])
@@ -123,6 +146,9 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
     s2s_header, entry, *entries = (inputs / "t000.s2sm").read_bytes().splitlines(keepends=True)
     lm_header, lm_body = (inputs / "lm.nglm").read_bytes().split(b"\n", 1)
     lm_fields = lm_header.split(b" ", 4)
+    lm_lines = (inputs / "lm.nglm").read_bytes().splitlines(keepends=True)
+    count3 = lm_lines[2].rindex(b"\t")  # the count field of line 3
+    em_fields = header.split(b" ", 4)
     return {
         "bad-float.em": em(b"x"),
         "bad-sum.em": em(b"0.5"),
@@ -144,6 +170,13 @@ def fault_inputs(inputs: Path) -> dict[str, bytes]:
         "line70-blank.em": line70(b"\n", b"\n", row70),
         "blank-lines.em": header + b"\n".join(rows),
         "blank-extra-row.em": b"".join([header, *rows, b"\n", b"\n", rows[-1]]),
+        "header-not-utf8.em": b"".join([b" ".join([*em_fields[:4], b"\xff" + em_fields[4][1:]]),
+                                        *rows]),
+        "truncated-utf8.em": b"".join([header, *rows[:2], rows[2][:-1] + b"\xc3\n", *rows[3:]]),
+        "byte-after-fault.em": b"".join([header97, rows97[0], b"x" + rest3, *rows97[2:8],
+                                         b"\xff" + rows97[8], *rows97[9:]]),
+        "byte-after-fault.nglm": b"".join([*lm_lines[:2], lm_lines[2][:count3], b"\tx\n",
+                                           *lm_lines[3:-1], b"\xff" + lm_lines[-1]]),
     }
 
 

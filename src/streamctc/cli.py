@@ -18,7 +18,7 @@ from . import __version__
 from .beam import BeamConfig, _log_frame, _log_frames, beam_decode_rows
 from .ctc import Alphabet, enumerate_transcript_probabilities, greedy_decode
 from .errors import CapacityError, ParseError, ValidationError
-from .formats import opened
+from .formats import opened, utf8_checked
 from .lm import load_ngram, save_ngram, train_ngram
 from .metrics import confusion_matrix, corpus_error_rates
 from .s2s import S2SConfig, load_table_scorer, s2s_decode
@@ -76,7 +76,8 @@ def _write_record(record: dict) -> None:
 
 
 def _cmd_decode(args, parser) -> int:
-    if args.greedy:
+    if args.greedy:  # the search options are checked, but no LM is needed or read
+        BeamConfig(width=args.beam_width, alpha=args.alpha, beta=args.beta)
         print(greedy_decode(load_emissions(args.emissions)))
         return EXIT_OK
     config, lm = _search(args, parser)
@@ -94,6 +95,8 @@ def _cmd_decode(args, parser) -> int:
 def _stream_records(args, parser, stdin) -> int:
     if args.start_frame < 0:
         raise ValidationError("start frame must be >= 0")
+    if args.lag < 0:  # as StreamingDecoder checks it, but before anything is read
+        raise ValidationError("lag must be >= 0")
     config, lm = _search(args, parser)
     header = stdin.readline()
     if not header:
@@ -133,7 +136,8 @@ def _cmd_stream(args, parser) -> int:
 
 def _cmd_lm_train(args, parser) -> int:
     with opened(args.corpus, "r") as fh:
-        lm = train_ngram(fh, args.alphabet, order=args.order, k=args.k)
+        lines = (utf8_checked(line, lineno) for lineno, line in enumerate(fh, start=1))
+        lm = train_ngram(lines, args.alphabet, order=args.order, k=args.k)
     save_ngram(lm, args.output)
     log.info("trained order-%d model with %d contexts", lm.order, len(lm._entries[0]))
     return EXIT_OK
@@ -144,7 +148,7 @@ def _cmd_metrics(args, parser) -> int:
     skipped = 0
     with opened(args.pairs, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
+            line = utf8_checked(raw, lineno).rstrip("\r\n")
             if not line:
                 continue
             fields = line.split("\t")

@@ -29,20 +29,25 @@ EOS = "</s>"
 def opened(target, mode: str) -> Iterator[IO[str]]:
     """``target`` itself when it is an open stream, else the UTF-8 file at
     that path, opened in ``mode`` ("r" or "w") and closed on exit.  Files
-    are read with line ends untranslated and written with "\\n".  A file that
-    is not UTF-8 is a ParseError at its first undecodable line."""
+    are written with "\\n" and read with line ends untranslated and each
+    byte that is not UTF-8 escaped, for :func:`utf8_checked` to word."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
         return
-    with open(target, mode, encoding="utf-8", newline="" if mode == "r" else "\n") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            with open(target, "rb") as raw:  # the first line that does not round-trip
-                lines = raw.read().splitlines()
-            bad = next((n for n, line in enumerate(lines, start=1)
-                        if line.decode("utf-8", "replace").encode() != line), None)
-            raise ParseError(f"not UTF-8 text: {exc.reason}", line=bad) from exc
+    with open(target, mode, encoding="utf-8", newline="" if mode == "r" else "\n",
+              errors="surrogateescape" if mode == "r" else "strict") as fh:
+        yield fh
+
+
+def utf8_checked(line: str, lineno: int | None) -> str:
+    """``line``, read with ``surrogateescape`` and still holding its line
+    end, unless a byte of it is not UTF-8: then a ParseError at ``lineno``
+    with the reason a strict decode of the line's bytes gives."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
+    return line
 
 
 def first_line(fh, what: str) -> str:
@@ -55,8 +60,9 @@ def first_line(fh, what: str) -> str:
 
 def header_fields(line: str, magic: str, count: int) -> list[str]:
     """The ``count`` space-separated fields after ``magic`` in a header
-    line; the last one keeps any spaces it holds."""
-    line = line.rstrip("\n")
+    line; the last one keeps any spaces it holds.  The line is checked for
+    bytes that are not UTF-8 first: in an alphabet they fail nothing else."""
+    line = utf8_checked(line, 1).rstrip("\n")
     parts = line.split(" ", count + 1)
     if len(parts) != count + 2 or f"{parts[0]} {parts[1]}" != magic:
         raise ParseError(f"bad header {line!r}, expected '{magic} ...'", line=1)
@@ -130,10 +136,10 @@ def write_entries(sink, header: str, keys: list[str], rows, cols, values: list,
 
 def scan_entries(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of every non-blank body line, in order; raises
-    ParseError at the first line that does not have three tab-separated
-    fields.  The body starts on line 2."""
+    ParseError at the first line that holds a byte that is not UTF-8 or
+    does not have three tab-separated fields.  The body starts on line 2."""
     for lineno, raw in enumerate(lines, start=2):
-        raw = raw.rstrip("\n")
+        raw = utf8_checked(raw, lineno).rstrip("\n")
         if not raw:
             continue
         fields = raw.split("\t")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ctc import Alphabet, EmissionMatrix, check_rows, check_symbols
 from .errors import ParseError, ValidationError
-from .formats import first_line, header_fields, opened
+from .formats import first_line, header_fields, opened, utf8_checked
 
 CTCEM_MAGIC = "CTCEM v1"
 
@@ -132,8 +132,11 @@ def parse_emissions_header(line: str) -> tuple[Alphabet, int]:
 
 
 def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.ndarray:
-    fields = line.split(" ")
+    """The row of one CTCEM row line, which may keep its line end.  A line
+    that fails is first checked for a byte that is not UTF-8."""
+    fields = line.rstrip("\n").split(" ")
     if len(fields) != size:
+        utf8_checked(line, lineno)
         raise ParseError(f"expected {size} values, got {len(fields)}", line=lineno)
     try:  # numpy reads each field as float() does
         row = np.array(fields, dtype=np.float64)
@@ -141,6 +144,7 @@ def parse_emission_row(line: str, size: int, lineno: int | None = None) -> np.nd
         try:  # and float() words the fault
             row = np.array([float(f) for f in fields])
         except ValueError as exc:
+            utf8_checked(line, lineno)
             raise ParseError(f"bad float: {exc}", line=lineno) from exc
     check_rows(row, f"line {lineno}: row")
     return row
@@ -161,11 +165,10 @@ def _checked_block(lines: list[str], size: int) -> np.ndarray | None:
 
 
 def _row_lines(fh) -> Iterator[tuple[int, str]]:
-    """(line number from 2, text) of each row line after the CTCEM header,
-    read with ``readline`` alone; blank lines are skipped but counted."""
-    for lineno, raw in enumerate(iter(fh.readline, ""), start=2):
-        line = raw.rstrip("\n")
-        if line:
+    """(line number from 2, line with its end) of each row line after the
+    header, read with ``readline`` alone; blank ones are skipped but counted."""
+    for lineno, line in enumerate(iter(fh.readline, ""), start=2):
+        if line != "\n":
             yield lineno, line
 
 
@@ -175,9 +178,8 @@ def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
 
     Rows are parsed and checked :data:`_BLOCK` at a time.  A block that
     fails is parsed again row by row with :func:`parse_emission_row`, each
-    row before the bad one a block of its own, and so are the rows read
-    before a line that does not decode.  So the consumer takes every row
-    before a fault before the error, as it would take them one at a time.
+    row before the bad one a block of its own, so the consumer takes every
+    row before a fault before the error, as it would take them one at a time.
     Once the rows run out, the iterator raises ParseError unless it gave as
     many as the header declares."""
     alphabet, frames = parse_emissions_header(first_line(fh, "emission"))
@@ -193,15 +195,11 @@ def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
 
     def blocks() -> Iterator[np.ndarray]:
         count, numbered = 0, []
-        try:
-            for row in _row_lines(fh):
-                numbered.append(row)
-                if len(numbered) == _BLOCK:
-                    yield from checked(numbered)
-                    count, numbered = count + _BLOCK, []
-        except UnicodeDecodeError:  # read ahead: the rows before it come first
-            yield from checked(numbered)
-            raise
+        for row in _row_lines(fh):
+            numbered.append(row)
+            if len(numbered) == _BLOCK:
+                yield from checked(numbered)
+                count, numbered = count + _BLOCK, []
         if numbered:
             yield from checked(numbered)
         count += len(numbered)

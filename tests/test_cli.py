@@ -546,6 +546,25 @@ class TestOptionsBeforeFiles:
         assert (code, out, err) == (4, json.dumps({"error": message}) + "\n",
                                     f"streamctc: {message}\n")
 
+    def test_lag_before_the_lm(self, capsys, monkeypatch, tmp_path, lm):
+        code, out, err = self.call(capsys, monkeypatch, tmp_path, "stream", "--lm", lm,
+                                   "--lag=-1")
+        message = "lag must be >= 0"
+        assert (code, out, err) == (4, json.dumps({"error": message}) + "\n",
+                                    f"streamctc: {message}\n")
+
+    @pytest.mark.parametrize("option, message", [
+        ("--alpha=nan", "alpha and beta must be finite"),
+        ("--beta=inf", "alpha and beta must be finite"),
+        ("--beam-width=0", "beam width must be >= 1"),
+        ("--alpha=-1", "alpha must be >= 0"),
+    ], ids=["alpha", "beta", "beam-width", "negative-alpha"])
+    def test_greedy_decode_checks_the_search_options(self, capsys, monkeypatch, tmp_path,
+                                                     option, message):
+        # as the beam route does, before the file is read; no LM is needed
+        code, out, err = self.call(capsys, monkeypatch, tmp_path, "decode", "--greedy", option)
+        assert (code, out, err) == (4, "", f"streamctc: {message}\n")
+
 
 class TestPipeComposition:
     def test_simulate_stream_decode_agree(self, capsys, monkeypatch, tmp_path):
@@ -701,6 +720,25 @@ class TestFileFaults:
         message = "tab/newline are not valid alphabet characters"
         assert err == f"streamctc: parse error: line 1: {message}\n"
 
+    @pytest.mark.parametrize("route", ["stream", "decode", "lm", "s2s-decode"])
+    def test_header_alphabet_that_is_not_utf8_is_parse_exit(self, capsys, monkeypatch,
+                                                            files, route):
+        # a byte that is not UTF-8 in an alphabet fails no other header check
+        em = b"CTCEM v1 1 4 ab\xff-\n0.25 0.25 0.25 0.25\n"
+        data = {"stream": em, "decode": em, "lm": b"NGLM v1 2 1.0 hi\xff\n\th\t1\n",
+                "s2s-decode": b"S2SM v1 hi\xff\n\th\t1.0\n"}[route]
+        path = files["dir"] / "header-not-utf8"
+        path.write_bytes(data)
+        argv = {"stream": ["stream", "--alpha", "0"],
+                "decode": ["decode", str(path), "--alpha", "0"],
+                "lm": ["decode", str(files["em"]), "--lm", str(path)],
+                "s2s-decode": ["s2s-decode", str(path), "--alpha", "0"]}[route]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, argv)
+        message = "line 1: not UTF-8 text: invalid start byte"
+        record = json.dumps({"error": message}) + "\n" if route == "stream" else ""
+        assert (code, out, err) == (3, record, f"streamctc: parse error: {message}\n")
+
     @pytest.mark.parametrize("encoding", [{"PYTHONIOENCODING": "utf-8:strict"},
                                           {"PYTHONIOENCODING": "latin-1"},
                                           {"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"}],
@@ -716,7 +754,7 @@ class TestFileFaults:
             [sys.executable, "-m", "streamctc", "stream", "--alpha", "0"],
             input=b"CTCEM v1 2 3 ab-\n0.5 0.25 0.25\n\xff 0.5 0.25\n",
             capture_output=True, env=env, timeout=60)
-        message = "line 3: bad float: could not convert string to float: '\\udcff'"
+        message = "line 3: not UTF-8 text: invalid start byte"
         assert proc.returncode == 3
         records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
         assert records[0]["hypothesis"] == "a"

@@ -18,7 +18,7 @@ def test_49_jobs_of_four_kinds():
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
     names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 69
+    assert len(names) == len(set(names)) == 74
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
@@ -31,7 +31,7 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
     def line70(*lines):
         return b"CTCEM v1 97 3 ab-\n" + b"".join([*rows97[:68], *lines, *rows97[69:]])
 
-    (tmp_path / "lm.nglm").write_bytes(b"NGLM v1 2 1.0 ab\n\ta\t1\n")
+    (tmp_path / "lm.nglm").write_bytes(b"NGLM v1 2 1.0 ab\n\ta\t1\n\tb\t1\na\ta\t1\n")
     (tmp_path / "t000.s2sm").write_bytes(b"S2SM v1 ab\n\ta\t0.5\n\tb\t0.5\n")
     faults = cli_outputs.fault_inputs(tmp_path)
     assert faults == {
@@ -40,18 +40,23 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
         "not-utf8.em": header + row * 2 + b"\xff 0.25 0.5\n" + row,
         "extra-row.em": header + row * 5,
         "empty.em": b"",
-        "crlf.nglm": b"NGLM v1 2 1.0 ab\r\n\ta\t1\r\n",
+        "crlf.nglm": b"NGLM v1 2 1.0 ab\r\n\ta\t1\r\n\tb\t1\r\na\ta\t1\r\n",
         "bad-prob.s2sm": b"S2SM v1 ab\n\ta\t1.5\n\tb\t0.5\n",
         "nan-field.em": header + row * 2 + b"nan 0.25 0.5\n" + row,
         "empty-field.em": header + row * 2 + b"0.25  0.5\n" + row,
         "underscore-field.em": header + row * 2 + b"0_1 0.25 0.5\n" + row,
-        "reversed.nglm": b"NGLM v1 2 1.0 ba\n\ta\t1\n",
+        "reversed.nglm": b"NGLM v1 2 1.0 ba\n\ta\t1\n\tb\t1\na\ta\t1\n",
         "line70-bad-float.em": line70(b"x 0.25 0.685\n"),
         "line70-bad-sum.em": line70(b"0.5 0.0 0.0\n"),
         "line70-not-utf8.em": line70(b"\xff 0.25 0.685\n"),
         "line70-blank.em": line70(b"\n", b"\n", b"0.25 0.25 0.685\n"),
         "blank-lines.em": header + (row + b"\n") * 3 + row,
         "blank-extra-row.em": header + row * 4 + b"\n\n" + row,
+        "header-not-utf8.em": b"CTCEM v1 4 3 \xffb-\n" + row * 4,
+        "truncated-utf8.em": header + row * 2 + b"0.25 0.25 0.5\xc3\n" + row,
+        "byte-after-fault.em": b"CTCEM v1 97 3 ab-\n" + b"".join(
+            [rows97[0], b"x 0.25 0.015\n", *rows97[2:8], b"\xff" + rows97[8], *rows97[9:]]),
+        "byte-after-fault.nglm": b"NGLM v1 2 1.0 ab\n\ta\t1\n\tb\tx\n\xffa\ta\t1\n",
     }
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}

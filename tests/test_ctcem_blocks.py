@@ -228,10 +228,10 @@ class TestBlocksMatchRows:
         assert cli_decode(path, StepFaultLm(ab.symbols)) == want
 
     def test_rows_read_before_an_undecodable_line_come_first(self, tmp_path):
-        """A file is decoded a chunk of bytes at a time, so the lines of the
-        chunks before the one holding a bad byte are read, and stepped,
-        before the error: here a collapse some 20 KB before that byte but in
-        the same block of rows."""
+        """A bad byte is a fault of its own line, found when that line is
+        parsed, so the rows before it are stepped before the error: here a
+        collapse some 20 KB before that byte but in the same block of
+        rows."""
         ab = Alphabet(cli.DEFAULT_ALPHABET)
         probs = np.random.default_rng(5).dirichlet(np.ones(ab.size), size=BLOCK)
         lines = [" ".join(map(repr, row.tolist())).encode() for row in probs]
