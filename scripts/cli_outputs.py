@@ -25,7 +25,10 @@ then 5 jobs on bytes that are not UTF-8: a ``stream`` of the row that
 holds one, a ``decode`` of a file with a bad float on line 3 and one on
 line 10, inside the first 8 KB, a ``decode`` with an LM whose line 3 holds
 a bad count and a later line one, and a ``decode`` of a row ending in a
-truncated sequence before its line end.  That makes 74 jobs.  The script
+truncated sequence before its line end; last, 2 ``stream --alpha 0`` jobs,
+at lag 0 and lag 22, on a hand-written utterance whose alphabet holds
+``"``, ``\\`` and non-ASCII characters, so that its records escape them.
+That makes 76 jobs.  The script
 exits 1 naming the first input file, or the first job whose stdout,
 stderr or exit code differs, and 0 when all are byte-identical.  Every job
 runs in a new process with its own random hash seed, so ``--parent HEAD``
@@ -114,6 +117,33 @@ def fault_jobs() -> list[tuple[str, list[str], str | None]]:
     ]
 
 
+#: the alphabet of :func:`escaped_utterance`, then its blank marker
+ESCAPED_COLUMNS = 'a"\\é中-'
+#: the column each row of :func:`escaped_utterance` peaks on
+ESCAPED_PATH = '"-aa\\-é-中中-"-a\\-\\é--中a-"é-a-\\"-中-é\\a--"a-é中-\\-aa-"-'
+
+
+def escaped_utterance() -> bytes:
+    """A CTCEM utterance whose records must escape a quote, a backslash
+    and non-ASCII characters: row n holds 0.6 on the column of character n
+    of :data:`ESCAPED_PATH` and 0.08 on each of the others."""
+    rows = [" ".join("0.6" if c == peak else "0.08" for c in ESCAPED_COLUMNS) + "\n"
+            for peak in ESCAPED_PATH]
+    header = f"CTCEM v1 {len(rows)} {len(ESCAPED_COLUMNS)} {ESCAPED_COLUMNS}\n"
+    return (header + "".join(rows)).encode()
+
+
+def escaped_jobs() -> list[tuple[str, list[str], str | None]]:
+    """``stream --alpha 0`` of :func:`escaped_utterance`, at lag 0 and 22."""
+    return [(f"stream escaped-lag{lag}", ["stream", "--lag", str(lag), "--alpha", "0"],
+             "escaped.em") for lag in (0, 22)]
+
+
+def all_jobs() -> list[tuple[str, list[str], str | None]]:
+    """Every job, in the order they run."""
+    return jobs() + fault_jobs() + escaped_jobs()
+
+
 def fault_inputs(inputs: Path) -> dict[str, bytes]:
     """Malformed files, by name, made from the seed-1 inputs in ``inputs``:
     the third emission row of ``utt000.em`` starts with a word, 0.5, a
@@ -191,7 +221,7 @@ def run_jobs(checkout: Path, workdir: Path) -> list[tuple[bytes, bytes, int]]:
     """(stdout, stderr, exit code) of every job, run in ``workdir`` with
     ``checkout``'s code."""
     env, results = side_env(checkout), []
-    for name, argv, stdin in jobs() + fault_jobs():
+    for name, argv, stdin in all_jobs():
         with open(workdir / stdin, "rb") if stdin else open(os.devnull, "rb") as fh:
             proc = subprocess.run([sys.executable, "-m", "streamctc", *argv], cwd=workdir,
                                   env=env, stdin=fh, capture_output=True)
@@ -228,20 +258,19 @@ def main(argv=None) -> int:
         if differs:
             print(f"input {differs} differs at {revision[:12]} and here", file=sys.stderr)
             return 1
-        faults = fault_inputs(tmp / "inputs-change")
+        added = {**fault_inputs(tmp / "inputs-change"), "escaped.em": escaped_utterance()}
         outputs = {}
         for side, checkout in sides.items():
-            for name, data in faults.items():
+            for name, data in added.items():
                 (tmp / f"inputs-{side}" / name).write_bytes(data)
             outputs[side] = run_jobs(checkout, tmp / f"inputs-{side}")
-        for (name, _, _), old, new in zip(jobs() + fault_jobs(), outputs["parent"],
-                                          outputs["change"]):
+        for (name, _, _), old, new in zip(all_jobs(), outputs["parent"], outputs["change"]):
             for part, a, b in zip(("stdout", "stderr", "exit code"), old, new):
                 if a != b:
                     print(f"job {name!r}: {part} differs at {revision[:12]} and here",
                           file=sys.stderr)
                     return 1
-    print(f"{len(jobs() + fault_jobs())} jobs byte-identical at {revision[:12]} and here")
+    print(f"{len(all_jobs())} jobs byte-identical at {revision[:12]} and here")
     return 0
 
 

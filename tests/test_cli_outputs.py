@@ -1,8 +1,11 @@
 """scripts/cli_outputs.py: the job list and the input comparison."""
 
+import io
 import sys
 from collections import Counter
 from pathlib import Path
+
+from streamctc import load_emissions
 
 # the script imports bench_pairs from its own directory, as it does when run
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -17,8 +20,8 @@ def test_49_jobs_of_four_kinds():
     assert kinds == {("decode", False): 16, ("stream", True): 17, ("s2s-decode", False): 16}
     assert jobs[-1][1][:5] == ["stream", "--lag", "0", "--beam-width", "8"]
     assert all(argv[-2:] == ["--lm", "lm.nglm"] for _, argv, _ in jobs)
-    names = [name for name, _, _ in jobs + cli_outputs.fault_jobs()]
-    assert len(names) == len(set(names)) == 74
+    names = [name for name, _, _ in cli_outputs.all_jobs()]
+    assert len(names) == len(set(names)) == 76
 
 
 def test_fault_jobs_read_the_fault_inputs(tmp_path):
@@ -61,6 +64,15 @@ def test_fault_jobs_read_the_fault_inputs(tmp_path):
     read = {arg for _, argv, stdin in cli_outputs.fault_jobs() for arg in [*argv, stdin]
             if arg and "." in arg}
     assert read == {*faults, "utt000.em", "t000.s2sm", "lm.nglm", "missing.nglm"}
+
+
+def test_escaped_jobs_stream_an_alphabet_that_records_escape():
+    em = load_emissions(io.StringIO(cli_outputs.escaped_utterance().decode("utf-8")))
+    assert em.alphabet.symbols == 'a"\\é中'
+    assert em.num_frames == len(cli_outputs.ESCAPED_PATH)
+    assert [argv for _, argv, _ in cli_outputs.escaped_jobs()] == [
+        ["stream", "--lag", lag, "--alpha", "0"] for lag in ("0", "22")]
+    assert {stdin for _, _, stdin in cli_outputs.escaped_jobs()} == {"escaped.em"}
 
 
 def test_first_difference_names_a_changed_or_missing_file(tmp_path):

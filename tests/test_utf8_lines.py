@@ -4,18 +4,25 @@ Every reader decodes with ``surrogateescape`` and checks a line for escaped
 bytes where that line is looked at, so the first faulty line is the one
 reported, wherever the bytes fall against the 8 KB chunks that a text file
 is decoded in.  The reason is the one a strict decode of the line's bytes,
-line end included, gives.
+line end included, gives.  An ``--alphabet`` option, which argv decodes
+with ``surrogateescape`` too, is worded the same way, before any file is
+read or written.
 """
 
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from streamctc import ParseError, cli, load_emissions, load_ngram, load_table_scorer
 
 CHUNK = 8192  # bytes a text file is decoded in at a time
+SRC = str(Path(cli.__file__).resolve().parents[1])  # for the CLI in a new process
 
 
 def key(i: int) -> str:
@@ -139,3 +146,24 @@ def test_lone_surrogate_in_a_callers_stream_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         load_emissions(io.StringIO("CTCEM v1 1 3 ab-\n0.5 0.25 0.25\ud800\n"))
     assert str(exc.value) == "line 2: not UTF-8 text: surrogates not allowed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lm-train", "corpus.txt", "-o", "out.nglm", "--alphabet"],
+    ["simulate", "a", "-o", "out.em", "--alphabet"],
+    ["simulate", "a", "--alphabet"],
+], ids=["lm-train", "simulate", "simulate-to-stdout"])
+@pytest.mark.parametrize("symbols, reason", [
+    (b"ab\xff", "invalid start byte"),
+    (b"a\xc3", "unexpected end of data"),
+    (b"a\xed\xa0\x80", "invalid continuation byte"),  # an encoded surrogate
+], ids=["start-byte", "truncated", "surrogate"])
+def test_alphabet_option_that_is_not_utf8_is_validation_exit(tmp_path, argv, symbols, reason):
+    """argv decodes ``--alphabet`` with ``surrogateescape``; a byte in it
+    that is not UTF-8 exits 4 with the reason of a strict decode, before the
+    corpus is read (here it does not exist) and with no file written."""
+    proc = subprocess.run([sys.executable, "-m", "streamctc", *argv, symbols], cwd=tmp_path,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == f"streamctc: not UTF-8 text: {reason}\n".encode()
+    assert list(tmp_path.iterdir()) == []
