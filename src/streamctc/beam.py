@@ -51,8 +51,10 @@ decodes can share beams, and the streaming decoder's beam after frame t is
 exactly the offline beam over the same rows.  It rejects emission rows that
 are not finite, in [0, 1] and summing to 1, and LM rows holding NaN or a
 log-probability above 0, whatever route they came by.  Only the package's
-readers skip the row check, by handing it a private frame: a row they have
-checked, already logged.
+readers and :func:`beam_decode`, whose :class:`EmissionMatrix` checked its
+rows, skip the row check, by handing it a private frame: a row they have
+checked, already logged.  A beta whose length penalty overflows a float at a
+length the search uses is rejected there.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import exp, isfinite, log1p
+from math import exp, inf, isfinite, log1p
 from typing import Iterable
 
 import numpy as np
 
-from .ctc import NEG_INF, Alphabet, EmissionMatrix, check_rows
+from .ctc import _BLOCK, NEG_INF, Alphabet, EmissionMatrix, check_rows
 from .errors import ValidationError
 from .lm import CharLm, UniformLm, check_log_rows
 
@@ -93,14 +95,37 @@ def normalized_score(log_prob: float, length: int, beta: float) -> float:
     return log_prob / max(1, length) ** beta
 
 
+def _length_power(k: int, beta: float) -> float:
+    """``max(1, k) ** beta``, or inf where it overflows a float."""
+    try:
+        return max(1, k) ** beta
+    except OverflowError:
+        return inf
+
+
 @functools.lru_cache(maxsize=16)
 def _length_powers(beta: float, size: int) -> np.ndarray:
-    """``max(1, k) ** beta`` for k < ``size``, each Python's ``**`` as
+    """:func:`_length_power` for k < ``size``, each Python's ``**`` as
     :func:`normalized_score` takes it (numpy's power differs from it in the
     last bit for some k).  Read-only: every step with that beta shares it."""
-    table = np.fromiter((max(1, k) ** beta for k in range(size)), dtype=np.float64, count=size)
+    table = np.fromiter((_length_power(k, beta) for k in range(size)), dtype=np.float64,
+                        count=size)
     table.flags.writeable = False
     return table
+
+
+def _live_powers(powers: np.ndarray, grid: np.ndarray, length: np.ndarray,
+                 beta: float) -> np.ndarray:
+    """``powers`` for a step whose longest candidate's power overflows: a
+    ValidationError if a candidate of nonzero probability needs a power that
+    overflows, else the table capped at the greatest power those candidates
+    need, so that the others stay at -inf."""
+    live = grid > NEG_INF
+    used = max(int(length[live[:, -1]].max(initial=0)),
+               int(length[live[:, :-1].any(axis=1)].max(initial=-1)) + 1)
+    if powers[used] == inf:
+        raise ValidationError(f"beta {beta!r} overflows the length penalty at length {used}")
+    return np.minimum(powers, powers[used])
 
 
 def _prefix_order(ks: np.ndarray, prefixes_of) -> list[int]:
@@ -436,7 +461,10 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     grid[:, m + 1] = stay_total = _log_add_many(stay_pb, stay_pnb)
 
     # one table per beta and power-of-two size class above length + 1
-    powers = _length_powers(config.beta, 1 << max(6, (int(length.max()) + 1).bit_length()))
+    longest = int(length.max()) + 1
+    powers = _length_powers(config.beta, 1 << max(6, longest.bit_length()))
+    if powers[longest] == inf:
+        powers = _live_powers(powers, grid, length, config.beta)
     scores = grid / powers[length + 1][:, None]
     scores[:, m + 1] = stay_total / powers[length]
     scores = scores.ravel()
@@ -523,5 +551,8 @@ def beam_decode_rows(
 def beam_decode(
     em: EmissionMatrix, config: BeamConfig | None = None, lm: CharLm | None = None
 ) -> tuple[str, float]:
-    """:func:`beam_decode_rows` over the rows of ``em``."""
-    return beam_decode_rows(em.alphabet, em.probs, config, lm)
+    """:func:`beam_decode_rows` over the rows of ``em``, which the matrix has
+    checked: logged a block at a time, so only one block of frames is held."""
+    frames = (frame for start in range(0, em.num_frames, _BLOCK)
+              for frame in _log_frames(em.probs[start:start + _BLOCK]))
+    return beam_decode_rows(em.alphabet, frames, config, lm)

@@ -131,7 +131,9 @@ def _stream_records(args, parser, stdin) -> int:
         raise ParseError("missing header line on standard input", line=1)
     alphabet, frames = parse_emissions_header(header)
     decoder = StreamingDecoder(alphabet, config, lag=args.lag, lm=lm)
-    # rows skipped by --start-frame count as read; a stream may end early
+    # a record's frame is the rows read so far, those skipped by --start-frame
+    # included; a stream may end early
+    rows_read = 0
     for rows_read, (lineno, line) in enumerate(_row_lines(stdin), start=1):
         if rows_read > frames:
             raise ParseError(f"header declares {frames} frames but row {rows_read} follows",
@@ -139,14 +141,13 @@ def _stream_records(args, parser, stdin) -> int:
         if rows_read <= args.start_frame:
             continue
         out = decoder.push(_log_frame(parse_emission_row(line, alphabet.size, lineno)))
-        _write_record({"frame": args.start_frame + out.frame_index, "committed": out.committed,
+        _write_record({"frame": rows_read, "committed": out.committed,
                        "hypothesis": out.hypothesis, "completion": out.completion,
                        "score": round(out.score, 6)})
     text = decoder.flush()
     _, score = decoder.best_committed()
-    _write_record({"frame": args.start_frame + decoder.frames_seen, "committed": text,
-                   "hypothesis": text, "completion": "", "score": round(score, 6),
-                   "final": True})
+    _write_record({"frame": rows_read, "committed": text, "hypothesis": text,
+                   "completion": "", "score": round(score, 6), "final": True})
     return EXIT_OK
 
 
@@ -248,7 +249,10 @@ def _cmd_rf(args, parser) -> int:
         try:
             if "x" in token:
                 width_str, count_str = token.split("x", 1)
-                widths.extend([int(width_str)] * int(count_str))
+                count = int(count_str)
+                if count < 1:
+                    raise ValueError(count)
+                widths.extend([int(width_str)] * count)
             else:
                 widths.append(int(token))
         except ValueError:

@@ -23,6 +23,8 @@ NEG_INF = float("-inf")
 # renormalized, so producer bugs surface as errors.
 ROW_SUM_TOL = 1e-6
 
+_BLOCK = 64  # emission rows checked and logged together
+
 # Hard cap on (|A|+1)**T for the path-enumeration oracle.
 ENUMERATION_CAP = 10**7
 
@@ -78,11 +80,11 @@ class Alphabet:
 
 
 def check_rows(probs: np.ndarray, where: str = "emission row") -> None:
-    """Raise ValidationError unless every row of ``probs`` (a 1-D array is one
-    row) is finite, lies in [0, 1] and sums to 1 within ROW_SUM_TOL.
+    """Raise ValidationError unless every row of ``probs``, one row or a 2-D
+    block, is finite, lies in [0, 1] and sums to 1 within ROW_SUM_TOL.
 
     The comparisons are written so that NaN fails them.  ``probs`` must not be
-    empty.  Messages name the bad row as ``where``, plus its index for 2-D.
+    empty.  Messages name the bad row as ``where``, plus its index in a block.
     A single row, the streaming case, costs one min, one max and one sum.
     """
     if not (probs.min() >= 0.0 and probs.max() <= 1.0):
@@ -92,12 +94,11 @@ def check_rows(probs: np.ndarray, where: str = "emission row") -> None:
         if not abs(total - 1.0) <= ROW_SUM_TOL:
             raise ValidationError(f"{where} sums to {total!r}, expected 1")
         return
-    sums = np.atleast_1d(probs.sum(axis=-1))
+    sums = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
     if bad.size:
         i = int(bad[0])
-        name = f"{where} {i}" if probs.ndim == 2 else where
-        raise ValidationError(f"{name} sums to {float(sums[i])!r}, expected 1")
+        raise ValidationError(f"{where} {i} sums to {float(sums[i])!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)

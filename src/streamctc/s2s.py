@@ -30,13 +30,15 @@ ending it never raises that numerator (rounding is monotone, so this holds
 in floating point too), and LP does not decrease with length, so no
 descendant of an active can reach the best final: it stays ranked first to
 the end.  Rows holding NaN or an entry above 0 are rejected, since the
-stop rests on them.
+stop rests on them.  A beta whose LP overflows a float is rejected at the
+first length the search reaches where it does; an LP(max_length) that
+overflows only rules out the early stop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -69,10 +71,15 @@ class S2SConfig:
 
 
 def length_penalty(length: int, beta: float) -> float:
-    """((5 + length) / 6)**beta; equals 1 at length 1 or beta 0."""
+    """((5 + length) / 6)**beta; equals 1 at length 1 or beta 0.  A beta
+    for which it overflows a float is a ValidationError."""
     if length < 0:
         raise ValidationError("length must be >= 0")
-    return ((5.0 + length) / 6.0) ** beta
+    try:
+        return ((5.0 + length) / 6.0) ** beta
+    except OverflowError:
+        raise ValidationError(
+            f"beta {beta!r} overflows the length penalty at length {length}") from None
 
 
 class TableScorer(CharLm):
@@ -225,7 +232,10 @@ def s2s_decode(
                else np.array([lm.index_of(c) for c in symbols] + [len(lm.symbols)]))
     chars = [*symbols, ""]  # a candidate's last character; none for an end
     alpha, beta, width = config.alpha, config.beta, config.width
-    ceiling = length_penalty(config.max_length, beta)
+    try:
+        ceiling = length_penalty(config.max_length, beta)
+    except ValidationError:  # an infinite ceiling never stops the search early
+        ceiling = inf
 
     # actives, all of one length: prefixes, scorer and LM states, and
     # log p(y|x) and log p_LM(y); finals: fused scores and prefixes, in no

@@ -13,6 +13,7 @@ platforms, so seeded outputs and golden files are reproducible everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ctc import Alphabet, EmissionMatrix, check_rows, check_symbols
+from .ctc import _BLOCK, Alphabet, EmissionMatrix, check_rows, check_symbols
 from .errors import ParseError, ValidationError
 from .formats import first_line, header_fields, opened, utf8_checked
 
@@ -29,8 +30,6 @@ CTCEM_MAGIC = "CTCEM v1"
 #: Written after the visible characters in the file header to stand for the
 #: blank column; purely presentational (the parser only strips it).
 BLANK_MARKER = "-"
-
-_BLOCK = 64  # rows parsed and checked together
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.peak_prob <= 1.0:
             raise ValidationError("peak_prob must be in (0, 1]")
+        if not math.isfinite(self.frames_per_char):
+            raise ValidationError("frames_per_char must be finite")
         if self.frames_per_char < 1:
             raise ValidationError("frames_per_char must be >= 1")
 
@@ -176,33 +177,26 @@ def _emission_blocks(fh) -> tuple[Alphabet, int, Iterator[np.ndarray]]:
     """Parse the header of an open CTCEM stream and return its alphabet, its
     declared frame count and an iterator over its rows in checked 2-D blocks.
 
-    Rows are parsed and checked :data:`_BLOCK` at a time.  A block that
-    fails is parsed again row by row with :func:`parse_emission_row`, each
-    row before the bad one a block of its own, so the consumer takes every
-    row before a fault before the error, as it would take them one at a time.
-    Once the rows run out, the iterator raises ParseError unless it gave as
-    many as the header declares."""
+    One loop takes the row lines :data:`_BLOCK` at a time and parses and
+    checks each such block at once.  A block that fails is parsed again row
+    by row with :func:`parse_emission_row`, each row before the bad one a
+    block of its own, so the consumer takes every row before a fault before
+    the error, as it would take them one at a time.  Once the rows run out,
+    the iterator raises ParseError unless it gave as many as the header
+    declares."""
     alphabet, frames = parse_emissions_header(first_line(fh, "emission"))
     size = alphabet.size
 
-    def checked(numbered: list[tuple[int, str]]) -> Iterator[np.ndarray]:
-        block = _checked_block([line for _, line in numbered], size)
-        if block is not None:
-            yield block
-            return
-        for lineno, line in numbered:
-            yield parse_emission_row(line, size, lineno)[None]
-
     def blocks() -> Iterator[np.ndarray]:
-        count, numbered = 0, []
-        for row in _row_lines(fh):
-            numbered.append(row)
-            if len(numbered) == _BLOCK:
-                yield from checked(numbered)
-                count, numbered = count + _BLOCK, []
-        if numbered:
-            yield from checked(numbered)
-        count += len(numbered)
+        rows, count = _row_lines(fh), 0
+        while numbered := list(itertools.islice(rows, _BLOCK)):
+            count += len(numbered)
+            block = _checked_block([line for _, line in numbered], size)
+            if block is not None:
+                yield block
+                continue
+            for lineno, line in numbered:
+                yield parse_emission_row(line, size, lineno)[None]
         if count != frames:
             raise ParseError(
                 f"header declares {frames} frames but the file holds {count} rows"

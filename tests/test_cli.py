@@ -228,6 +228,18 @@ class TestStream:
         assert len(records) == total - skip + 1
         assert records[0]["frame"] == skip + 1  # absolute frame numbering
 
+    @pytest.mark.parametrize("declared, sent, skip", [(3, 3, 7), (9, 2, 5)])
+    def test_start_frame_past_the_rows_numbers_the_rows_read(self, capsys, monkeypatch,
+                                                             declared, sent, skip):
+        body = f"CTCEM v1 {declared} 3 ab-\n" + "0.2 0.3 0.5\n" * sent
+        code, out, _ = run(capsys, ["stream", "--alpha", "0", "--lag", "0",
+                                    "--start-frame", str(skip)],
+                           stdin_text=body, monkeypatch=monkeypatch)
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"frame": sent, "committed": "", "hypothesis": "", "completion": "",
+             "score": 0.0, "final": True}]
+
     def test_malformed_row_emits_error_record(self, capsys, monkeypatch):
         body = "CTCEM v1 1 2 a-\nnot a row\n"
         code, out, err = run(capsys, ["stream", "--lag", "0", "--alpha", "0"],
@@ -428,12 +440,17 @@ class TestSimulateAndRf:
         code, _, err = run(capsys, ["rf", "4"])
         assert code == 4
 
-    @pytest.mark.parametrize("token", ["five", "5xL", "x3"])
+    @pytest.mark.parametrize("token", ["five", "5xL", "x3", "5x0", "5x-1"])
     def test_rf_bad_width_token_is_usage_error(self, capsys, token):
         with pytest.raises(SystemExit) as exc:
             cli.main(["rf", "5", token])
         assert exc.value.code == 2
         assert f"bad width token {token.lower()!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_simulate_nonfinite_frames_per_char_is_validation_exit(self, capsys, value):
+        code, out, err = run(capsys, ["simulate", "ab", f"--frames-per-char={value}"])
+        assert (code, out, err) == (4, "", "streamctc: frames_per_char must be finite\n")
 
 
 class TestS2SDecode:
@@ -491,6 +508,45 @@ class TestNonFiniteWeights:
         code, out, err = run(capsys, ["s2s-decode", str(path), "--lm", str(demo_lm),
                                       f"{flag}={value}"])
         assert (code, out, err) == (4, "", "streamctc: alpha and beta must be finite\n")
+
+
+class TestLengthPenaltyOverflow:
+    """A beta whose length penalty overflows a float is a validation error
+    at the first length the search uses where it does, not a traceback."""
+
+    @pytest.fixture
+    def abab_em(self, tmp_path):
+        path = tmp_path / "abab.em"
+        save_emissions(simulate("abab", Alphabet("ab"), SimConfig(noise_seed=1)), path)
+        return path
+
+    MESSAGE = "beta 1000.0 overflows the length penalty at length 3"
+
+    def test_decode(self, capsys, abab_em):
+        code, out, err = run(capsys, ["decode", str(abab_em), "--alpha", "0",
+                                      "--beta", "1000"])
+        assert (code, out, err) == (4, "", f"streamctc: {self.MESSAGE}\n")
+
+    def test_stream(self, capsys, abab_em, monkeypatch):
+        code, out, err = run(capsys, ["stream", "--alpha", "0", "--beta", "1000"],
+                             abab_em.read_text(encoding="utf-8"), monkeypatch)
+        assert (code, err) == (4, f"streamctc: {self.MESSAGE}\n")
+        assert out.splitlines()[-1] == json.dumps({"error": self.MESSAGE})
+
+    def test_decode_of_two_rows_needs_no_long_power(self, capsys, tmp_path):
+        # 63 ** 172 overflows, but two rows give a prefix of at most 2
+        path = tmp_path / "two.em"
+        path.write_text("CTCEM v1 2 3 ab-\n" + "0.2 0.3 0.5\n" * 2, encoding="utf-8")
+        code, out, _ = run(capsys, ["decode", str(path), "--alpha", "0", "--beta", "172"])
+        assert code == 0
+        assert out.split("\t")[0] == "ab"
+
+    def test_s2s_decode(self, capsys):
+        path = Path(__file__).parent / "golden" / "sample.s2sm"
+        code, out, err = run(capsys, ["s2s-decode", str(path), "--alpha", "0",
+                                      "--beta", "1000"])
+        assert (code, out) == (4, "")
+        assert err == "streamctc: beta 1000.0 overflows the length penalty at length 8\n"
 
 
 class TestOptionsBeforeFiles:

@@ -253,5 +253,10 @@ class TestSimConfig:
             SimConfig(peak_prob=1.5)
 
     def test_rejects_bad_duration(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^frames_per_char must be >= 1$"):
             SimConfig(frames_per_char=0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_duration(self, value):
+        with pytest.raises(ValidationError, match="^frames_per_char must be finite$"):
+            SimConfig(frames_per_char=value)
