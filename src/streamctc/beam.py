@@ -60,7 +60,6 @@ length the search uses is rejected there.
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import exp, inf, isfinite, log1p
@@ -224,14 +223,6 @@ def _spell_apart(beam: "Beam", rows: list[int]) -> list[str]:
 
 
 @functools.lru_cache(maxsize=16)
-def _symbol_objects(symbols: str) -> np.ndarray:
-    """The symbols as a read-only object array."""
-    array = np.fromiter(symbols, dtype=object, count=len(symbols))
-    array.flags.writeable = False
-    return array
-
-
-@functools.lru_cache(maxsize=16)
 def _uniform_lm(symbols: str) -> UniformLm:
     return UniformLm(symbols)
 
@@ -280,9 +271,14 @@ class Beam:
         def floats(values):
             return np.array(list(values), dtype=np.float64)
 
-        self._set(alphabet, frame_index, floats(h.log_pb for h in hyps),
-                  floats(h.log_pnb for h in hyps), floats(h.log_prob for h in hyps),
-                  floats(h.lm_logprob for h in hyps), np.array(lasts, dtype=np.intp),
+        pb, pnb = floats(h.log_pb for h in hyps), floats(h.log_pnb for h in hyps)
+        lm_logprob = floats(h.lm_logprob for h in hyps)
+        bad = np.flatnonzero(~((pb < inf) & (pnb < inf) & (lm_logprob < inf)))
+        if bad.size:  # NaN fails the comparison too
+            raise ValidationError(f"hypothesis {hyps[bad[0]].prefix!r} has a NaN or +inf "
+                                  "log-probability")
+        self._set(alphabet, frame_index, pb, pnb, floats(h.log_prob for h in hyps),
+                  lm_logprob, np.array(lasts, dtype=np.intp),
                   np.array([len(h.prefix) for h in hyps], dtype=np.intp),
                   np.array(up, dtype=np.intp), _state_array([h.lm_state for h in hyps]),
                   *(np.fromiter(column, dtype=object, count=len(hyps))
@@ -499,7 +495,7 @@ def beam_step(beam: Beam, frame, config: BeamConfig, lm: CharLm | None = None) -
     if x.size:
         state[x] = lm.advance_many(state[x], cx if lm_cols is None else lm_cols[cx])
         up_tail[x] = tail[x]  # an extension's parent is its source
-        grown = list(map(operator.add, tail[x], _symbol_objects(symbols)[cx]))
+        grown = [t + symbols[c] for t, c in zip(tail[x].tolist(), cx.tolist())]
         if _CHUNK in map(len, grown):  # a full chunk becomes a node
             for f, text in enumerate(grown):
                 if len(text) == _CHUNK:

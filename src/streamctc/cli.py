@@ -243,7 +243,7 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_rf(args, parser) -> int:
-    widths: list[int] = []
+    stacks: list[tuple[int, int]] = []  # (filter width, layer count) per token
     for token in args.widths:
         token = token.lower()
         try:
@@ -252,13 +252,13 @@ def _cmd_rf(args, parser) -> int:
                 count = int(count_str)
                 if count < 1:
                     raise ValueError(count)
-                widths.extend([int(width_str)] * count)
+                stacks.append((int(width_str), count))
             else:
-                widths.append(int(token))
+                stacks.append((int(token), 1))
         except ValueError:
             parser.error(f"bad width token {token!r}; use an integer or KxLAYERS")
-    total, future = receptive_field(widths)
-    print(f"r={future} R={total}")
+    future = sum(count * receptive_field([width])[1] for width, count in stacks)
+    print(f"r={future} R={2 * future + 1}")
     return EXIT_OK
 
 

@@ -109,7 +109,7 @@ class EmissionMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = np.array(self.probs, dtype=np.float64)
         if arr.size == 0:
             arr = arr.reshape(0, self.alphabet.size)
         if arr.ndim != 2 or arr.shape[1] != self.alphabet.size:
@@ -118,7 +118,6 @@ class EmissionMatrix:
             )
         if arr.size:
             check_rows(arr)
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -177,33 +176,27 @@ def path_log_probability(path: Sequence[int], em: EmissionMatrix) -> float:
     return total
 
 
-def _iter_paths_with_probs(em: EmissionMatrix):
+def enumerate_transcript_probabilities(em: EmissionMatrix) -> dict[str, float]:
+    """Exact distribution over transcripts by brute-force path enumeration.
+
+    Guarded by ``ENUMERATION_CAP``; intended as a desk-scale oracle.
+    """
     size = em.alphabet.size
     T = em.num_frames
     if size**T > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration over {size}**{T} paths exceeds the {ENUMERATION_CAP} guard"
         )
-    probs = em.probs.tolist()
-    for path in itertools.product(range(size), repeat=T):
-        p = 1.0
-        for t, idx in enumerate(path):
-            p *= probs[t][idx]
-        yield path, p
-
-
-def enumerate_transcript_probabilities(em: EmissionMatrix) -> dict[str, float]:
-    """Exact distribution over transcripts by brute-force path enumeration.
-
-    Guarded by ``ENUMERATION_CAP``; intended as a desk-scale oracle.
-    """
     blank = em.alphabet.blank_index
     symbols = em.alphabet.symbols
+    probs = em.probs.tolist()
     acc: dict[str, float] = {}
-    for path, p in _iter_paths_with_probs(em):
+    for path in itertools.product(range(size), repeat=T):
+        p = 1.0
         chars = []
         prev = -1
-        for idx in path:
+        for t, idx in enumerate(path):
+            p *= probs[t][idx]
             if idx != prev and idx != blank:
                 chars.append(symbols[idx])
             prev = idx
@@ -265,7 +258,5 @@ def exact_transcript_probability(
 
 def greedy_decode(em: EmissionMatrix) -> str:
     """Collapse of the per-frame argmax path; ties break to the lowest index."""
-    if em.num_frames == 0:
-        return ""
     path = np.argmax(em.probs, axis=1)
     return collapse(path, em.alphabet)

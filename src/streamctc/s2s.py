@@ -72,14 +72,18 @@ class S2SConfig:
 
 def length_penalty(length: int, beta: float) -> float:
     """((5 + length) / 6)**beta; equals 1 at length 1 or beta 0.  A beta
-    for which it overflows a float is a ValidationError."""
+    for which it overflows a float, or underflows to 0 (only at length 0), is
+    a ValidationError."""
     if length < 0:
         raise ValidationError("length must be >= 0")
     try:
-        return ((5.0 + length) / 6.0) ** beta
+        penalty = ((5.0 + length) / 6.0) ** beta
     except OverflowError:
         raise ValidationError(
             f"beta {beta!r} overflows the length penalty at length {length}") from None
+    if penalty == 0.0:
+        raise ValidationError(f"beta {beta!r} underflows the length penalty at length {length}")
+    return penalty
 
 
 class TableScorer(CharLm):
@@ -216,6 +220,9 @@ def _scan_table(lines: list[str]) -> dict[str, dict[str, float]]:
     return table
 
 
+# LP(0) is the only penalty below 1: a subnormal one divides to -inf, as
+# Python's float division does, without numpy's overflow warning.
+@np.errstate(over="ignore")
 def s2s_decode(
     scorer, config: S2SConfig | None = None, lm: CharLm | None = None
 ) -> tuple[str, float]:

@@ -69,16 +69,10 @@ def simulate(gt: str, alphabet: Alphabet, config: SimConfig | None = None) -> Em
         )
     rng = random.Random(config.noise_seed)
     rest = (1.0 - config.peak_prob) / (size - 1)
-
-    def peaked(idx: int) -> np.ndarray:
-        row = np.full(size, rest)
-        row[idx] = config.peak_prob
-        return row
-
-    blank_row = peaked(alphabet.blank_index)
-    rows: list[np.ndarray] = []
+    blank = alphabet.blank_index
+    peaks: list[int] = []  # the peak column of each frame
     if config.blank_fill:
-        rows += [blank_row] * _draw_run_length(rng, config.frames_per_char)
+        peaks += [blank] * _draw_run_length(rng, config.frames_per_char)
     for i, ch in enumerate(gt):
         if i > 0:
             if config.blank_fill:
@@ -87,11 +81,12 @@ def simulate(gt: str, alphabet: Alphabet, config: SimConfig | None = None) -> Em
                 gap = 1  # forced separator: repeats need a blank in between
             else:
                 gap = 0
-            rows += [blank_row] * gap
-        rows += [peaked(alphabet.index_of(ch))] * _draw_run_length(rng, config.frames_per_char)
+            peaks += [blank] * gap
+        peaks += [alphabet.index_of(ch)] * _draw_run_length(rng, config.frames_per_char)
     if config.blank_fill and gt:
-        rows += [blank_row] * _draw_run_length(rng, config.frames_per_char)
-    data = np.array(rows) if rows else np.zeros((0, size))
+        peaks += [blank] * _draw_run_length(rng, config.frames_per_char)
+    data = np.full((len(peaks), size), rest)
+    data[np.arange(len(peaks)), peaks] = config.peak_prob
     return EmissionMatrix(alphabet, data)
 
 

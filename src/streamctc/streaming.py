@@ -19,6 +19,7 @@ by which an n-gram model memoizes it.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -112,8 +113,9 @@ class StreamingDecoder:
         self._completion_chars = _COMPLETION_CHARS if lm is not None else 0
         self._beam = beam = beam_init(alphabet, self.config, self.lm)
         # (best prefix, score) after frames t - lag .. t: [0] is committed
+        # a window too long for a deque's bound never fills, so it needs none
         self._shown = deque([(beam._prefix(0), beam._score(0, self.config.beta))],
-                            maxlen=lag + 1)
+                            maxlen=lag + 1 if lag < sys.maxsize else None)
 
     @property
     def frames_seen(self) -> int:

@@ -358,6 +358,21 @@ class TestCarriedParents:
         with pytest.raises(ValidationError, match="beam holds the prefix 'a' twice"):
             Beam(Alphabet("ab"), hyps)
 
+    @pytest.mark.parametrize("field", [1, 2, 4])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nan_or_positive_infinite_log_probability_is_rejected(self, field, value):
+        fields = ["ab", -1.0, -2.0, None, -0.5]
+        fields[field] = value
+        hyps = [Hypothesis("", -0.5, float("-inf"), None, 0.0), Hypothesis(*fields)]
+        with pytest.raises(ValidationError,
+                           match="^hypothesis 'ab' has a NaN or \\+inf log-probability$"):
+            Beam(Alphabet("ab"), hyps)
+
+    def test_negative_infinity_and_a_hair_above_zero_are_kept(self):
+        # a merged total can round a little above 0
+        hyps = [Hypothesis("", float("-inf"), 1e-16, None, float("-inf"))]
+        assert Beam(Alphabet("ab"), hyps).hypotheses == tuple(hyps)
+
 
 class TestInputBeamUnchanged:
     """``beam_step`` writes nothing to the beam it steps: after the step each

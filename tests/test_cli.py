@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,20 @@ class TestStream:
         text, score = out2.rstrip("\n").split("\t")
         assert final["hypothesis"] == text
         assert final["score"] == pytest.approx(float(score), abs=1e-6)
+
+    def test_lag_past_a_deque_bound_commits_only_the_final(self, capsys, demo_em, demo_lm,
+                                                           monkeypatch):
+        body = demo_em.read_text(encoding="utf-8")
+        code, out, err = run(capsys, ["stream", "--lag", "10000000000000000000",
+                                      "--lm", str(demo_lm)],
+                             stdin_text=body, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["committed"] for r in records[:-1]] == [""] * (len(records) - 1)
+        _, decoded, _ = run(capsys, ["decode", str(demo_em), "--lm", str(demo_lm)])
+        text, score = decoded.rstrip("\n").split("\t")
+        assert records[-1]["committed"] == records[-1]["hypothesis"] == text
+        assert f"{records[-1]['score']:.6f}" == score
 
     def test_zero_lag_commits_every_frame(self, capsys, demo_em, monkeypatch):
         body = demo_em.read_text(encoding="utf-8")
@@ -436,6 +451,11 @@ class TestSimulateAndRf:
         assert code == 0
         assert out.strip() == "r=5 R=11"
 
+    def test_rf_counts_layers_without_listing_them(self, capsys):
+        code, out, _ = run(capsys, ["rf", "3x1000000000000"])
+        assert code == 0
+        assert out.strip() == "r=1000000000000 R=2000000000001"
+
     def test_rf_even_width_fails(self, capsys):
         code, _, err = run(capsys, ["rf", "4"])
         assert code == 4
@@ -547,6 +567,21 @@ class TestLengthPenaltyOverflow:
                                       "--beta", "1000"])
         assert (code, out) == (4, "")
         assert err == "streamctc: beta 1000.0 overflows the length penalty at length 8\n"
+
+    @pytest.mark.parametrize("beta, max_length, message", [
+        ("4300", "1", "beta 4300.0 underflows the length penalty at length 0"),
+        # LP(0) is subnormal, so the empty end divides to -inf without a warning
+        ("3950", "3", "beta 3950.0 overflows the length penalty at length 3"),
+    ])
+    def test_s2s_decode_stderr_holds_only_the_error(self, capsys, tmp_path, beta,
+                                                    max_length, message):
+        path = tmp_path / "a.s2sm"
+        path.write_text("S2SM v1 ab\n\ta\t0.9\n\tb\t0.05\n\t</s>\t0.05\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["s2s-decode", str(path), "--alpha", "0",
+                                          "--beta", beta, "--max-length", max_length])
+        assert (code, out, err) == (4, "", f"streamctc: {message}\n")
 
 
 class TestOptionsBeforeFiles:

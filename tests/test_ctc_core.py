@@ -82,6 +82,15 @@ class TestEmissionMatrix:
         with pytest.raises(ValueError):
             em.probs[0, 0] = 0.9
 
+    def test_read_only_copy_of_a_list_or_a_read_only_array(self):
+        frozen = np.array([[0.5, 0.5], [0.25, 0.75]])
+        frozen.flags.writeable = False
+        for given in (frozen.tolist(), frozen):
+            em = EmissionMatrix(Alphabet("a"), given)
+            assert not em.probs.flags.writeable
+            assert not np.shares_memory(em.probs, frozen)
+            assert np.array_equal(em.probs, frozen)
+
 
 class TestCollapse:
     def test_blank_separated_repeat(self):

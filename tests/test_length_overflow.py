@@ -91,7 +91,7 @@ def s2s_outcome(decode, scorer, config, lm):
 
 @settings(max_examples=80, deadline=None)
 @given(st.text(alphabet="ab", max_size=12), st.sampled_from([0.5, 0.9, 1.0]),
-       st.integers(1, 15), st.integers(1, 4), st.booleans(), st.floats(400.0, 3000.0))
+       st.integers(1, 15), st.integers(1, 4), st.booleans(), st.floats(400.0, 5000.0))
 def test_s2s_decode_overflows_where_the_reference_does(target, peak, max_length, width,
                                                        fused, beta):
     config = S2SConfig(width=width, alpha=0.1 if fused else 0.0, beta=beta,

@@ -235,6 +235,15 @@ class TestStreamFlush:
             assert out.committed == ""  # nothing commits while buffering
         assert dec.flush() == beam_decode(em, cfg)[0]
 
+    @pytest.mark.parametrize("lag", [sys.maxsize - 1, sys.maxsize, 2**63, 10**19])
+    def test_lag_past_a_deque_bound(self, lag):
+        ab = Alphabet("ab")
+        em = one_hot_emissions(ab, "a-b")
+        cfg = BeamConfig(width=4, alpha=0.0, beta=0.0)
+        dec = StreamingDecoder(ab, cfg, lag=lag)
+        assert [dec.push(row).committed for row in em.probs] == ["", "", ""]
+        assert dec.flush() == beam_decode(em, cfg)[0] == "ab"
+
 
 class TestWordCompletion:
     def _lm(self):
